@@ -9,11 +9,10 @@
 use crate::config::TileConfig;
 use crate::energy::{energy_from_events, EnergyBreakdown, EnergyModel};
 use crate::sim::{simulate_head, HeadSimResult, HeadWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of comparing one configuration against the baseline on the same
 /// workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineComparison {
     /// Name of the evaluated (non-baseline) configuration.
     pub config_name: &'static str,

@@ -31,7 +31,6 @@ use crate::config::TileConfig;
 use crate::cost::CostModel;
 use crate::energy::{energy_from_events, EnergyBreakdown, EnergyModel};
 use crate::sim::{merge_shards, simulate_head_shard, HeadSimResult, HeadWorkload, TileShardSim};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Deterministic contiguous partition of a head's `seq_len` Q rows across
@@ -187,7 +186,7 @@ pub fn simulate_head_tiled(
 /// **makespan** — and nothing else: merged per-head accounting, layer
 /// energy, and pruning rates are bit-identical across policies (the
 /// conformance contract of `tests/layer_conformance.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Placement {
     /// Greedy longest-predicted-first: heads in descending predicted load,
     /// each shard onto the currently least-loaded tile, with a round-robin
@@ -552,7 +551,7 @@ const PLANNED_PRUNING_RATE: f64 = 0.0;
 
 /// Cycle and energy totals of one attention layer executed on a multi-tile
 /// accelerator under a [`Placement`] policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSchedule {
     /// Number of tiles used.
     pub tiles: usize,
@@ -676,7 +675,7 @@ pub fn schedule_layer(
 }
 
 /// Cycle and energy totals of a whole model (a sequence of attention layers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSchedule {
     /// Per-layer schedules, input side first.
     pub layers: Vec<LayerSchedule>,

@@ -9,10 +9,8 @@
 //! table of `exp(x)` over a bounded negative range, and the probabilities are
 //! the table outputs normalized by their (fixed-point) sum.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the LUT-based exponential/softmax unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoftmaxLutConfig {
     /// Number of index bits (the paper's 1 KB LUT with 16-bit entries has
     /// 512 entries, i.e. 9 index bits).

@@ -1,16 +1,15 @@
 //! Dispatch-layer spine: differential tests pinning the runtime-dispatched
-//! kernel-v2 paths to each other and to the retained oracles.
+//! kernel-v2 paths to each other and to the scalar DPU oracle.
 //!
 //! The contract under test (see `leopard_accel::kernel_v2`):
 //!
 //! * **Path identity** — forcing [`KernelPath::Portable`] (the scalar-word
-//!   fallback) produces a `HeadSimResult` byte-identical to the requested
+//!   path) produces a `HeadSimResult` byte-identical to the requested
 //!   [`KernelPath::Wide`] path on the same inputs, for every preset and
 //!   every `bits_per_cycle` granularity 1..=4. On machines without the
 //!   wide feature set the wide request resolves to portable, so the
 //!   property degenerates to reflexivity rather than failing.
-//! * **Oracle identity** — both paths equal the retained v1 per-pair
-//!   kernel (`simulate_head_pairwise`) and the scalar per-element DPU
+//! * **Oracle identity** — both paths equal the scalar per-element DPU
 //!   reference (`simulate_head_reference`) exactly: cycles, stalls,
 //!   utilization, histograms, events.
 //! * **Tail-word hygiene** — sequence lengths straddling the 64-column
@@ -24,9 +23,7 @@
 
 use leopard_accel::config::TileConfig;
 use leopard_accel::kernel_v2::KernelPath;
-use leopard_accel::sim::{
-    simulate_head_pairwise, simulate_head_reference, simulate_head_with_path, HeadWorkload,
-};
+use leopard_accel::sim::{simulate_head_reference, simulate_head_with_path, HeadWorkload};
 use proptest::prelude::*;
 
 /// The four studied tile configurations, in `SimUnitKind` order.
@@ -58,21 +55,16 @@ fn workload(s: usize, d: usize, threshold: i64, seed: i32) -> HeadWorkload {
 }
 
 /// Asserts the full dispatch contract on one workload/config pair: wide,
-/// portable, the retained per-pair kernel, and the scalar reference all
-/// produce byte-identical `HeadSimResult`s.
+/// portable, and the scalar reference all produce byte-identical
+/// `HeadSimResult`s.
 fn assert_paths_agree(w: &HeadWorkload, config: &TileConfig) {
     let reference = simulate_head_reference(w, config);
     let wide = simulate_head_with_path(w, config, KernelPath::Wide);
     let portable = simulate_head_with_path(w, config, KernelPath::Portable);
-    let pairwise = simulate_head_pairwise(w, config);
     assert_eq!(wide, portable, "wide and portable paths diverged");
     assert_eq!(
         portable, reference,
         "portable path diverged from DPU reference"
-    );
-    assert_eq!(
-        pairwise, reference,
-        "v1 per-pair kernel diverged from DPU reference"
     );
 }
 
@@ -102,9 +94,9 @@ fn granularity_sweep_agrees_across_paths() {
 
 proptest! {
     /// The headline dispatch property: for arbitrary workloads, thresholds,
-    /// and reveal granularities, the forced-portable fallback is
-    /// byte-identical to the wide path — and both match the retained v1
-    /// kernel and the scalar DPU reference.
+    /// and reveal granularities, the forced-portable path is
+    /// byte-identical to the wide path — and both match the scalar DPU
+    /// reference.
     #[test]
     fn prop_portable_and_wide_paths_are_byte_identical(
         s in 1usize..70,

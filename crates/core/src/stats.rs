@@ -6,11 +6,10 @@
 //! computation are processed. [`PruningStats`] is the shared counter both the
 //! software evaluation and the accelerator simulator update.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Counters of total and pruned scores, overall and per attention layer.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PruningStats {
     total: u64,
     pruned: u64,

@@ -8,10 +8,9 @@
 //! are plain numbers).
 
 use leopard_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// The learned per-layer pruning thresholds of a model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerThresholds {
     values: Vec<f32>,
 }

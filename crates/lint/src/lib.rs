@@ -131,12 +131,7 @@ impl Default for LintConfig {
             blessed_telemetry_fns: vec!["write_telemetry_outputs"],
             par_markers: vec!["shards", "workers", "head_workloads", "partials"],
             blessed_reductions: vec!["merge_shards", "merge_head_shards", "accumulate_rows"],
-            excluded_prefixes: vec![
-                "crates/serde",
-                "crates/criterion",
-                "crates/rand",
-                "crates/proptest",
-            ],
+            excluded_prefixes: vec!["crates/criterion", "crates/rand", "crates/proptest"],
         }
     }
 }
@@ -301,6 +296,6 @@ mod tests {
     #[test]
     fn default_config_exempts_stand_in_crates() {
         let config = LintConfig::default();
-        assert!(config.excluded_prefixes.contains(&"crates/serde"));
+        assert!(config.excluded_prefixes.contains(&"crates/criterion"));
     }
 }

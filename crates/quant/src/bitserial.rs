@@ -9,11 +9,10 @@
 //! raise the dot product by at most `|q| * (2^remaining - 1)`.
 
 use crate::signmag::SignMagnitude;
-use serde::{Deserialize, Serialize};
 
 /// Static description of a bit-serial schedule: how many magnitude bits a key
 /// element has and how many are consumed per cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitSerialPlan {
     /// Total number of magnitude bits (excluding the sign bit).
     pub magnitude_bits: u32,
@@ -78,7 +77,7 @@ impl BitSerialPlan {
 
 /// A key vector decomposed for bit-serial processing: per-element signs plus
 /// magnitudes that can be replayed a few MSBs at a time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSerialVector {
     plan: BitSerialPlan,
     elements: Vec<SignMagnitude>,

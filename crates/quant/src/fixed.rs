@@ -10,10 +10,9 @@
 //! directions are provided.
 
 use leopard_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a symmetric linear quantizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     /// Total bit width including the sign bit.
     pub bits: u32,
@@ -82,7 +81,7 @@ impl QuantParams {
 }
 
 /// A quantized matrix: integer codes plus the quantizer that produced them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,

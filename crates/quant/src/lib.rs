@@ -3,7 +3,7 @@
 //! The paper's accelerator works on quantized operands: 12-bit Q and K for the
 //! `Q·Kᵀ` front-end and 16-bit values for the `·V` back-end (Section 5.1),
 //! with K processed *bit-serially*, 2 bits per cycle from MSB to LSB
-//! (Section 4.2). Three modules provide that machinery:
+//! (Section 4.2). Four modules provide that machinery:
 //!
 //! * [`fixed`] — symmetric linear quantization of `f32` matrices into `n`-bit
 //!   signed integers plus the scale needed to map scores (and the learned
@@ -14,9 +14,10 @@
 //!   of configurable width `B` (the paper uses `B = 2`), together with the
 //!   "maximum possible remaining contribution" helper the conservative margin
 //!   calculation relies on.
-//! * [`planes`] — the same decomposition packed as per-magnitude-bit
-//!   bitmasks (`u64` words) plus sign and nonzero masks, the layout the
-//!   incremental QK kernel in `leopard-accel` consumes.
+//! * [`planes`] — the same decomposition for a whole set of K columns,
+//!   packed structure-of-arrays as per-magnitude-bit `u64` column masks plus
+//!   sign and nonzero masks, the layout the batched QK kernel in
+//!   `leopard-accel` consumes.
 //!
 //! # Example
 //!
@@ -38,5 +39,5 @@ pub mod signmag;
 
 pub use bitserial::{BitSerialPlan, BitSerialVector};
 pub use fixed::{QuantParams, QuantizedMatrix};
-pub use planes::{KPlanes, KPlanesSoa};
+pub use planes::KPlanesSoa;
 pub use signmag::SignMagnitude;

@@ -1,235 +1,24 @@
-//! Packed bit-plane decomposition of key vectors.
+//! Packed bit-plane decomposition of a set of key vectors.
 //!
-//! [`BitSerialVector`] stores one sign/magnitude pair per element and
-//! re-derives everything a bit-serial cycle needs — partial sums, margins —
-//! by walking all `d` elements again on every call. That is faithful to the
-//! hardware but wasteful in software: the simulator's inner loop calls it
-//! `s × s × cycles` times per head.
+//! [`BitSerialVector`](crate::bitserial::BitSerialVector) stores one
+//! sign/magnitude pair per element and re-derives everything a bit-serial
+//! cycle needs — partial sums, margins — by walking all `d` elements again on
+//! every call. That is faithful to the hardware but wasteful in software:
+//! the simulator's inner loop needs it `s × s × cycles` times per head.
 //!
-//! [`KPlanes`] is the same information laid out for incremental arithmetic:
-//! one `d`-wide bitmask per magnitude bit (plane `b` has bit `i` set when
-//! element `i`'s magnitude has bit `b` set), plus a sign mask and a
-//! nonzero-magnitude mask. Two identities make the per-cycle work collapse:
-//!
-//! * the partial-sum **delta** of cycle `c` is exactly the contribution of
-//!   the newly revealed planes, `Σ_{b ∈ revealed(c)} 2^b · S_b` with
-//!   `S_b = Σ_{i ∈ plane_b} sign_i(K) · q_i`, so the partial sum never has
-//!   to be recomputed from scratch; and
-//! * the conservative margin factors as
-//!   `max_remaining_magnitude(c) × Σ_{concordant} |q_i|`, where the
-//!   concordant-pair sum is a property of the (Q row, K column) pair alone —
-//!   computable **once** in O(d) instead of once per cycle.
-//!
-//! The masks are `u64` words, so sign concordance and plane membership
-//! become word-wide boolean algebra. `leopard-accel`'s row-batched kernel
-//! builds on this layout; the helpers here are the (slow, obviously correct)
-//! reference semantics the property tests pin against [`BitSerialVector`].
+//! [`KPlanesSoa`] is the same information for a whole *set* of K columns,
+//! laid out for word-parallel arithmetic: one `u64` word per 64 columns for
+//! every (magnitude bit, element) pair, plus sign and nonzero-magnitude
+//! words. `leopard-accel`'s batched kernel derives its per-cycle truncated
+//! operand matrices from this layout; the tests here pin those truncations
+//! to [`BitSerialVector::partial_dot`](crate::bitserial::BitSerialVector::partial_dot).
 
-use crate::bitserial::BitSerialVector;
 use crate::signmag::SignMagnitude;
-use serde::{Deserialize, Serialize};
-
-/// A key vector decomposed into per-magnitude-bit bitmasks ("planes"), a
-/// sign mask, and a nonzero-magnitude mask. See the module docs for why this
-/// layout makes bit-serial simulation incremental.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KPlanes {
-    magnitude_bits: u32,
-    len: usize,
-    words: usize,
-    /// Flattened planes: plane `b` occupies `[b * words, (b + 1) * words)`.
-    planes: Vec<u64>,
-    /// Bit `i` set when element `i` is negative.
-    sign_mask: Vec<u64>,
-    /// Bit `i` set when element `i`'s magnitude is nonzero.
-    nonzero_mask: Vec<u64>,
-}
-
-impl KPlanes {
-    /// Decomposes a slice of quantized codes into bit planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `magnitude_bits` is not in `1..=31` or any magnitude does
-    /// not fit in `magnitude_bits` bits (the same contract as
-    /// [`BitSerialVector::new`]).
-    pub fn new(codes: &[i32], magnitude_bits: u32) -> Self {
-        assert!(
-            (1..=31).contains(&magnitude_bits),
-            "magnitude bits in 1..=31"
-        );
-        let max_mag = (1u32 << magnitude_bits) - 1;
-        let len = codes.len();
-        let words = len.div_ceil(64).max(1);
-        let mut planes = vec![0u64; magnitude_bits as usize * words];
-        let mut sign_mask = vec![0u64; words];
-        let mut nonzero_mask = vec![0u64; words];
-        for (i, &code) in codes.iter().enumerate() {
-            let sm = SignMagnitude::from_code(code);
-            assert!(
-                sm.magnitude <= max_mag,
-                "magnitude {} does not fit in {} bits",
-                sm.magnitude,
-                magnitude_bits
-            );
-            let (w, bit) = (i / 64, 1u64 << (i % 64));
-            if sm.negative {
-                sign_mask[w] |= bit;
-            }
-            if sm.magnitude != 0 {
-                nonzero_mask[w] |= bit;
-            }
-            for b in 0..magnitude_bits {
-                if sm.magnitude & (1 << b) != 0 {
-                    planes[b as usize * words + w] |= bit;
-                }
-            }
-        }
-        Self {
-            magnitude_bits,
-            len,
-            words,
-            planes,
-            sign_mask,
-            nonzero_mask,
-        }
-    }
-
-    /// Decomposes an already bit-serial vector (same elements, same
-    /// magnitude width).
-    pub fn from_vector(v: &BitSerialVector) -> Self {
-        let codes: Vec<i32> = (0..v.len()).map(|i| v.element(i).to_code()).collect();
-        Self::new(&codes, v.plan().magnitude_bits)
-    }
-
-    /// Number of magnitude bits (planes).
-    pub fn magnitude_bits(&self) -> u32 {
-        self.magnitude_bits
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the vector has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of `u64` words per mask (`ceil(len / 64)`, at least 1).
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// The bitmask of plane `b` (weight `2^b`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b >= magnitude_bits`.
-    pub fn plane(&self, b: u32) -> &[u64] {
-        assert!(b < self.magnitude_bits, "plane index out of range");
-        let w = self.words;
-        &self.planes[b as usize * w..(b as usize + 1) * w]
-    }
-
-    /// The sign mask (bit `i` set when element `i` is negative).
-    pub fn sign_mask(&self) -> &[u64] {
-        &self.sign_mask
-    }
-
-    /// The nonzero-magnitude mask.
-    pub fn nonzero_mask(&self) -> &[u64] {
-        &self.nonzero_mask
-    }
-
-    /// Reference semantics of one plane's signed Q sum:
-    /// `S_b = Σ_{i ∈ plane_b} sign_i(K) · q_i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q_codes.len()` differs from the vector length.
-    pub fn signed_plane_sum(&self, b: u32, q_codes: &[i32]) -> i64 {
-        assert_eq!(q_codes.len(), self.len, "dimension mismatch");
-        let mut sum = 0i64;
-        for (w, (&p, &s)) in self.plane(b).iter().zip(self.sign_mask.iter()).enumerate() {
-            let mut pos = p & !s;
-            while pos != 0 {
-                let i = w * 64 + pos.trailing_zeros() as usize;
-                sum += q_codes[i] as i64;
-                pos &= pos - 1;
-            }
-            let mut neg = p & s;
-            while neg != 0 {
-                let i = w * 64 + neg.trailing_zeros() as usize;
-                sum -= q_codes[i] as i64;
-                neg &= neg - 1;
-            }
-        }
-        sum
-    }
-
-    /// The partial dot product once the top `seen_bits` magnitude bits have
-    /// been revealed (MSB first): `Σ_{b ≥ magnitude_bits - seen} 2^b · S_b`.
-    /// With `seen_bits = magnitude_bits` this is the exact dot product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seen_bits > magnitude_bits` or the lengths mismatch.
-    pub fn partial_dot_seen(&self, q_codes: &[i32], seen_bits: u32) -> i64 {
-        assert!(seen_bits <= self.magnitude_bits, "seen bits out of range");
-        (self.magnitude_bits - seen_bits..self.magnitude_bits)
-            .map(|b| self.signed_plane_sum(b, q_codes) << b)
-            .sum()
-    }
-
-    /// The exact dot product with a full-precision Q vector.
-    pub fn full_dot(&self, q_codes: &[i32]) -> i64 {
-        self.partial_dot_seen(q_codes, self.magnitude_bits)
-    }
-
-    /// The concordant-pair |Q| sum: `Σ |q_i|` over pairs where `q_i != 0`,
-    /// the K magnitude is nonzero, and the signs agree. The conservative
-    /// margin after `c` cycles is exactly
-    /// `max_remaining_magnitude(c) × concordant_abs_sum` — one multiply per
-    /// cycle instead of an O(d) rescan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q_codes.len()` differs from the vector length.
-    pub fn concordant_abs_sum(&self, q_codes: &[i32]) -> i64 {
-        assert_eq!(q_codes.len(), self.len, "dimension mismatch");
-        let mut sum = 0i64;
-        for w in 0..self.words {
-            let base = w * 64;
-            let limit = (self.len - base).min(64);
-            let mut q_pos = 0u64;
-            let mut q_neg = 0u64;
-            for (j, &q) in q_codes[base..base + limit].iter().enumerate() {
-                if q > 0 {
-                    q_pos |= 1 << j;
-                } else if q < 0 {
-                    q_neg |= 1 << j;
-                }
-            }
-            let mut concordant =
-                ((self.sign_mask[w] & q_neg) | (!self.sign_mask[w] & q_pos)) & self.nonzero_mask[w];
-            while concordant != 0 {
-                let i = base + concordant.trailing_zeros() as usize;
-                sum += q_codes[i].unsigned_abs() as i64;
-                concordant &= concordant - 1;
-            }
-        }
-        sum
-    }
-}
 
 /// Structure-of-arrays bit-plane storage for a whole *set* of K columns.
 ///
-/// [`KPlanes`] packs one column's planes over its `d` elements; a head
-/// simulation holds `s` of them and the batched kernel walks them column by
-/// column. `KPlanesSoa` transposes that layout: for every `(magnitude bit,
-/// element)` pair it stores one `u64` word **per 64 K columns**, so
+/// For every `(magnitude bit, element)` pair it stores one `u64` word **per
+/// 64 K columns**, so
 /// column-set bookkeeping — which columns are still alive in the reveal
 /// window, which columns have a given bit at all, population counts over the
 /// column set — becomes word-wide boolean algebra instead of per-column
@@ -309,59 +98,6 @@ impl KPlanesSoa {
                 }
                 for b in 0..magnitude_bits {
                     if sm.magnitude & (1 << b) != 0 {
-                        soa.planes_t[(b as usize * len + i) * col_words + w] |= bit;
-                    }
-                }
-            }
-        }
-        soa
-    }
-
-    /// Builds the transposed layout from per-column [`KPlanes`] (the exact
-    /// transpose of the per-column masks — no re-decomposition).
-    ///
-    /// `magnitude_bits` is taken as a parameter so the zero-column case stays
-    /// well-formed; every column must have been decomposed at that width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `magnitude_bits` is not in `1..=31`, or any column's width
-    /// or length disagrees.
-    pub fn from_planes(planes: &[KPlanes], magnitude_bits: u32) -> Self {
-        assert!(
-            (1..=31).contains(&magnitude_bits),
-            "magnitude bits in 1..=31"
-        );
-        let cols = planes.len();
-        let len = planes.first().map_or(0, KPlanes::len);
-        let col_words = cols.div_ceil(64);
-        let mut soa = Self {
-            magnitude_bits,
-            cols,
-            len,
-            col_words,
-            planes_t: vec![0u64; magnitude_bits as usize * len * col_words],
-            sign_t: vec![0u64; len * col_words],
-            nonzero_t: vec![0u64; len * col_words],
-        };
-        for (j, column) in planes.iter().enumerate() {
-            assert_eq!(
-                column.magnitude_bits(),
-                magnitude_bits,
-                "column decomposed at a different magnitude width"
-            );
-            assert_eq!(column.len(), len, "columns must share one length");
-            let (w, bit) = (j / 64, 1u64 << (j % 64));
-            let word_of = |mask: &[u64], i: usize| mask[i / 64] >> (i % 64) & 1 != 0;
-            for i in 0..len {
-                if word_of(column.sign_mask(), i) {
-                    soa.sign_t[i * col_words + w] |= bit;
-                }
-                if word_of(column.nonzero_mask(), i) {
-                    soa.nonzero_t[i * col_words + w] |= bit;
-                }
-                for b in 0..magnitude_bits {
-                    if word_of(column.plane(b), i) {
                         soa.planes_t[(b as usize * len + i) * col_words + w] |= bit;
                     }
                 }
@@ -509,9 +245,10 @@ impl KPlanesSoa {
     /// This is the MSB-first reveal window as a dense operand: after the
     /// cycle that reveals bits down to `low_cut`, the partial dot product of
     /// a full-precision Q row with column `j` is **exactly**
-    /// `Σ_i q_i · truncated_ji` — the identity
-    /// [`KPlanes::partial_dot_seen`] pins, restated so the batched kernel
-    /// can compute per-cycle partials as plain dense dot products.
+    /// `Σ_i q_i · truncated_ji` — the partial sum
+    /// [`BitSerialVector::partial_dot`](crate::bitserial::BitSerialVector::partial_dot)
+    /// defines, restated so the batched kernel can compute per-cycle
+    /// partials as plain dense dot products.
     ///
     /// # Panics
     ///
@@ -552,77 +289,27 @@ impl KPlanesSoa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitserial::BitSerialPlan;
+    use crate::bitserial::{BitSerialPlan, BitSerialVector};
     use proptest::prelude::*;
 
     #[test]
     fn planes_mirror_magnitude_bits() {
-        // magnitude 0b101 = 5, negative; magnitude 0b011 = 3, positive; zero.
-        let p = KPlanes::new(&[-5, 3, 0], 3);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.words(), 1);
-        assert_eq!(p.plane(0)[0], 0b011); // bit 0 set in |−5| and |3|
-        assert_eq!(p.plane(1)[0], 0b010); // bit 1 set in |3|
-        assert_eq!(p.plane(2)[0], 0b001); // bit 2 set in |−5|
-        assert_eq!(p.sign_mask()[0], 0b001);
-        assert_eq!(p.nonzero_mask()[0], 0b011);
-    }
-
-    #[test]
-    fn full_dot_matches_direct_product() {
-        let k = [1000i32, -731, 512, -3, 0, 2047];
-        let q = [9i32, -5, 7, -2, 1234, -1];
-        let p = KPlanes::new(&k, 11);
-        let exact: i64 = k
-            .iter()
-            .zip(q.iter())
-            .map(|(&a, &b)| a as i64 * b as i64)
-            .sum();
-        assert_eq!(p.full_dot(&q), exact);
-    }
-
-    #[test]
-    fn concordant_sum_matches_margin_filter() {
-        let k = [901i32, -2047, 13, 768, -55, 0, 1200, -640];
-        let q = [-2047i32, 1024, 555, -77, 2000, 1, -900, 333];
-        let p = KPlanes::new(&k, 11);
-        let plan = BitSerialPlan::new(11, 2);
-        let v = BitSerialVector::new(&k, plan);
-        for cyc in 0..=plan.total_cycles() {
-            let mrm = plan.max_remaining_magnitude(cyc) as i64;
-            assert_eq!(mrm * p.concordant_abs_sum(&q), v.margin(&q, cyc));
-        }
-    }
-
-    #[test]
-    fn multi_word_vectors_cross_the_u64_boundary() {
-        let k: Vec<i32> = (0..100).map(|i| (i * 37 % 4093) - 2046).collect();
-        let q: Vec<i32> = (0..100).map(|i| (i * 53 % 4093) - 2046).collect();
-        let p = KPlanes::new(&k, 11);
-        assert_eq!(p.words(), 2);
-        let plan = BitSerialPlan::new(11, 2);
-        let v = BitSerialVector::new(&k, plan);
-        assert_eq!(p.full_dot(&q), v.full_dot(&q));
-        for cyc in 0..=plan.total_cycles() {
-            assert_eq!(
-                p.partial_dot_seen(&q, plan.bits_after(cyc)),
-                v.partial_dot(&q, cyc)
-            );
-        }
-    }
-
-    #[test]
-    fn from_vector_round_trips() {
-        let k = [44i32, -7, 0, 2047, -2047];
-        let plan = BitSerialPlan::new(11, 2);
-        let v = BitSerialVector::new(&k, plan);
-        assert_eq!(KPlanes::from_vector(&v), KPlanes::new(&k, 11));
+        // One element per column: magnitude 0b101 = 5, negative; magnitude
+        // 0b011 = 3, positive; zero.
+        let soa = KPlanesSoa::from_codes(&[vec![-5], vec![3], vec![0]], 3);
+        assert_eq!(soa.cols(), 3);
+        assert_eq!(soa.col_words(), 1);
+        assert_eq!(soa.plane_row(0, 0)[0], 0b011); // bit 0 set in |−5| and |3|
+        assert_eq!(soa.plane_row(1, 0)[0], 0b010); // bit 1 set in |3|
+        assert_eq!(soa.plane_row(2, 0)[0], 0b001); // bit 2 set in |−5|
+        assert_eq!(soa.sign_row(0)[0], 0b001);
+        assert_eq!(soa.nonzero_row(0)[0], 0b011);
     }
 
     #[test]
     #[should_panic(expected = "does not fit")]
     fn oversized_magnitude_panics() {
-        let _ = KPlanes::new(&[100], 4);
+        let _ = KPlanesSoa::from_codes(&[vec![100]], 4);
     }
 
     /// Deterministic pseudo-random column set for the SoA tests.
@@ -639,6 +326,16 @@ mod tests {
             .collect()
     }
 
+    /// Σ_i q_i · truncated_ji for column `j` of a column-major truncation.
+    fn dense_dot(trunc: &[i32], j: usize, q: &[i32]) -> i64 {
+        let len = q.len();
+        trunc[j * len..(j + 1) * len]
+            .iter()
+            .zip(q)
+            .map(|(&t, &qi)| t as i64 * qi as i64)
+            .sum()
+    }
+
     #[test]
     fn soa_round_trips_every_column() {
         let columns = soa_columns(70, 9, 3);
@@ -653,16 +350,6 @@ mod tests {
                 "column {j} did not round-trip"
             );
         }
-    }
-
-    #[test]
-    fn soa_from_planes_equals_from_codes() {
-        let columns = soa_columns(23, 7, 9);
-        let planes: Vec<KPlanes> = columns.iter().map(|c| KPlanes::new(c, 11)).collect();
-        assert_eq!(
-            KPlanesSoa::from_planes(&planes, 11),
-            KPlanesSoa::from_codes(&columns, 11)
-        );
     }
 
     /// The tail-mask invariant at the two boundary column counts the kernel
@@ -709,22 +396,19 @@ mod tests {
 
     #[test]
     fn soa_truncations_match_partial_dot_reference() {
+        // One magnitude bit per cycle, so every reveal depth 0..=11 is a
+        // cycle boundary of the element-wise reference.
         let columns = soa_columns(65, 8, 7);
         let q: Vec<i32> = (0..8).map(|i| (i * 97 % 2047) - 1023).collect();
-        let planes: Vec<KPlanes> = columns.iter().map(|c| KPlanes::new(c, 11)).collect();
-        let soa = KPlanesSoa::from_planes(&planes, 11);
-        for seen in 0..=11u32 {
-            let trunc = soa.truncated_codes(11 - seen);
-            for (j, plane) in planes.iter().enumerate() {
-                let dense: i64 = trunc[j * 8..(j + 1) * 8]
-                    .iter()
-                    .zip(&q)
-                    .map(|(&t, &qi)| t as i64 * qi as i64)
-                    .sum();
+        let plan = BitSerialPlan::new(11, 1);
+        let soa = KPlanesSoa::from_codes(&columns, 11);
+        for cycle in 0..=plan.total_cycles() {
+            let trunc = soa.truncated_codes(plan.remaining_bits(cycle));
+            for (j, column) in columns.iter().enumerate() {
                 assert_eq!(
-                    dense,
-                    plane.partial_dot_seen(&q, seen),
-                    "column {j}, {seen} bits seen"
+                    dense_dot(&trunc, j, &q),
+                    BitSerialVector::new(column, plan).partial_dot(&q, cycle),
+                    "column {j}, {cycle} bits seen"
                 );
             }
         }
@@ -744,50 +428,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The bit-plane decomposition replays *exactly* the partial sums of
-        /// the element-wise bit-serial reference, at every cycle, for every
-        /// granularity the design space explores. This is the identity the
-        /// incremental kernel's deltas rest on.
-        #[test]
-        fn prop_partial_sums_match_bitserial_reference(
-            pairs in proptest::collection::vec((-2047i32..=2047, -2047i32..=2047), 1..80),
-            bits_per_cycle in 1u32..=4,
-        ) {
-            let k: Vec<i32> = pairs.iter().map(|p| p.0).collect();
-            let q: Vec<i32> = pairs.iter().map(|p| p.1).collect();
-            let plan = BitSerialPlan::new(11, bits_per_cycle);
-            let v = BitSerialVector::new(&k, plan);
-            let p = KPlanes::new(&k, 11);
-            for cyc in 0..=plan.total_cycles() {
-                prop_assert_eq!(
-                    p.partial_dot_seen(&q, plan.bits_after(cyc)),
-                    v.partial_dot(&q, cyc)
-                );
-            }
-        }
-
-        /// The factored margin — one concordant |Q| sum times the per-cycle
-        /// remaining-magnitude cap — equals the reference margin exactly.
-        #[test]
-        fn prop_factored_margin_matches_bitserial_reference(
-            pairs in proptest::collection::vec((-2047i32..=2047, -2047i32..=2047), 1..80),
-            bits_per_cycle in 1u32..=4,
-        ) {
-            let k: Vec<i32> = pairs.iter().map(|p| p.0).collect();
-            let q: Vec<i32> = pairs.iter().map(|p| p.1).collect();
-            let plan = BitSerialPlan::new(11, bits_per_cycle);
-            let v = BitSerialVector::new(&k, plan);
-            let p = KPlanes::new(&k, 11);
-            let concordant = p.concordant_abs_sum(&q);
-            for cyc in 0..=plan.total_cycles() {
-                let mrm = plan.max_remaining_magnitude(cyc) as i64;
-                prop_assert_eq!(mrm * concordant, v.margin(&q, cyc));
-            }
-        }
-
         /// The SoA transpose is lossless at any column count (tail words
-        /// included) and its truncated operands replay the MSB-first
-        /// partial-dot identity for every reveal schedule.
+        /// included) and its truncated operands replay the element-wise
+        /// MSB-first partial sums for every reveal schedule.
         #[test]
         fn prop_soa_transpose_is_lossless_and_truncations_are_exact(
             cols in 1usize..70,
@@ -805,14 +448,8 @@ mod tests {
             for cyc in 0..=plan.total_cycles() {
                 let trunc = soa.truncated_codes(plan.remaining_bits(cyc));
                 for (j, column) in columns.iter().enumerate() {
-                    let dense: i64 = trunc[j * len..(j + 1) * len]
-                        .iter()
-                        .zip(&q)
-                        .map(|(&t, &qi)| t as i64 * qi as i64)
-                        .sum();
-                    let reference = KPlanes::new(column, 11)
-                        .partial_dot_seen(&q, plan.bits_after(cyc));
-                    prop_assert_eq!(dense, reference);
+                    let reference = BitSerialVector::new(column, plan).partial_dot(&q, cyc);
+                    prop_assert_eq!(dense_dot(&trunc, j, &q), reference);
                 }
             }
         }

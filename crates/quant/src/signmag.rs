@@ -9,10 +9,8 @@
 //! straightforward, because the magnitude bits can be streamed independently
 //! of the sign.
 
-use serde::{Deserialize, Serialize};
-
 /// A signed integer split into an explicit sign and magnitude.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SignMagnitude {
     /// `true` when the value is negative. Zero is represented as positive.
     pub negative: bool,

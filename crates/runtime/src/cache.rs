@@ -258,11 +258,16 @@ mod tests {
         assert_eq!(cached.q_codes, direct.q_codes);
         assert_eq!(cached.k_codes, direct.k_codes);
         assert_eq!(cached.threshold_int, direct.threshold_int);
-        // The bit-plane K decomposition rides along in the cached workload,
-        // so the four simulation units of a head (and every sweep design
-        // point that shares the operands) never rebuild it.
-        assert_eq!(cached.k_planes, direct.k_planes);
-        assert!(!cached.k_planes.is_empty());
+        // The packed K operands ride along in the cached workload: a second
+        // lookup of the same head reuses the pack the first one built, so the
+        // four simulation units of a head (and every sweep design point that
+        // shares the operands) never rebuild it.
+        let plan = leopard_accel::TileConfig::ae_leopard().bit_serial_plan();
+        let again = cache.head_workload(&suite[2], &options(), 0);
+        assert!(Arc::ptr_eq(
+            &cached.packed_keys_at(plan),
+            &again.packed_keys_at(plan)
+        ));
     }
 
     #[test]

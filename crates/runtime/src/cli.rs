@@ -499,11 +499,17 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 let v = take_value(&mut it, "--max-seq-len")?;
                 common.pipeline.max_sim_seq_len =
                     v.parse().map_err(|_| format!("bad length {v:?}"))?;
+                if common.pipeline.max_sim_seq_len == 0 {
+                    return Err("--max-seq-len must be at least 1".to_string());
+                }
                 max_seq_len_set = true;
             }
             "--heads" => {
                 let v = take_value(&mut it, "--heads")?;
                 common.pipeline.heads = v.parse().map_err(|_| format!("bad head count {v:?}"))?;
+                if common.pipeline.heads == 0 {
+                    return Err("--heads must be at least 1".to_string());
+                }
             }
             "--tiles" => {
                 let v = take_value(&mut it, "--tiles")?;
@@ -1790,6 +1796,20 @@ mod tests {
         // Each flag alone still parses.
         assert!(parse(&args(&["suite", "--max-seq-len", "64"])).is_ok());
         assert!(parse(&args(&["serve", "--full-scale"])).is_ok());
+    }
+
+    #[test]
+    fn zero_max_seq_len_is_rejected() {
+        let err = parse(&args(&["suite", "--max-seq-len", "0"])).unwrap_err();
+        assert!(err.contains("--max-seq-len must be at least 1"), "{err}");
+        assert!(parse(&args(&["suite", "--max-seq-len", "1"])).is_ok());
+    }
+
+    #[test]
+    fn zero_heads_is_rejected() {
+        let err = parse(&args(&["task", "wikitext", "--heads", "0"])).unwrap_err();
+        assert!(err.contains("--heads must be at least 1"), "{err}");
+        assert!(parse(&args(&["task", "wikitext", "--heads", "1"])).is_ok());
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! # Plan files
 //!
 //! Plans load from JSON (`leopard serve --faults plan.json`) via a
-//! hand-rolled parser (the workspace serde is an offline no-op stub):
+//! hand-rolled, depth-limited parser:
 //!
 //! ```json
 //! {
@@ -361,9 +361,8 @@ fn parse_slow_tile(value: &Json) -> Result<SlowTile, String> {
     })
 }
 
-/// Minimal JSON value model — just enough for fault plans (the workspace
-/// serde is an offline no-op stub, so plans parse through this hand-rolled
-/// recursive-descent reader).
+/// Minimal JSON value model — just enough for fault plans, read by a
+/// hand-rolled recursive-descent parser.
 #[derive(Debug, Clone, PartialEq)]
 enum Json {
     Number(f64),
@@ -410,15 +409,23 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Fault plans nest
+/// three levels; the cap keeps a hostile file from overflowing the stack of
+/// the recursive reader.
+const MAX_JSON_DEPTH: usize = 64;
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 fn parse_json(text: &str) -> Result<Json, String> {
     let mut reader = Reader {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = reader.value()?;
     reader.skip_whitespace();
@@ -457,8 +464,22 @@ impl Reader<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             b'"' => Ok(Json::String(self.string()?)),
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(format!(
@@ -747,5 +768,20 @@ mod tests {
         assert_eq!(plan.slow_pct(2), 150);
         assert_eq!(plan.slow_pct(0), 100);
         assert_eq!(plan.slow_pct(99), 100);
+    }
+
+    #[test]
+    fn deeply_nested_plans_are_rejected_not_overflowed() {
+        // 200k nested arrays would overflow the stack of an unbounded
+        // recursive reader.
+        let err = FaultPlan::from_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(
+            err.contains("nesting deeper than 64 levels at byte 64"),
+            "{err}"
+        );
+        // Nesting up to the cap still parses (and then fails on shape).
+        let at_cap = format!("{}{}", "[".repeat(64), "]".repeat(64));
+        let err = FaultPlan::from_json(&at_cap).unwrap_err();
+        assert!(err.contains("must be a JSON object"), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! Structured JSON/CSV rendering of suite and serving reports.
 //!
-//! The workspace's serde is an offline no-op stub (see `crates/serde`), so
-//! report serialization is rendered directly: a small JSON writer with
+//! The workspace has no serialization dependency, so report serialization
+//! is rendered directly: a small JSON writer with
 //! correct string escaping and flat CSV tables. Output field order is
 //! fixed, so reports diff cleanly across runs.
 //!

@@ -301,9 +301,9 @@ impl MetricsSnapshot {
             .map(|(_, v)| v)
     }
 
-    /// Renders the snapshot as pretty-printed JSON (hand-rendered — the
-    /// workspace serde is an offline stub). Key order is the snapshot's
-    /// name order, so files diff cleanly across runs.
+    /// Renders the snapshot as pretty-printed JSON (hand-rendered). Key
+    /// order is the snapshot's name order, so files diff cleanly across
+    /// runs.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         render_map(&mut out, &self.counters, |v| v.to_string());

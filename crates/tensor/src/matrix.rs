@@ -1,7 +1,6 @@
 //! Row-major dense `f32` matrix.
 
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
 
@@ -29,7 +28,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub};
 /// assert_eq!(a.matmul(&b), a);
 /// assert_eq!(a.transpose()[(0, 1)], 3.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -47,7 +47,8 @@ pub fn geometric_mean(values: &[f32]) -> f32 {
 }
 
 /// Linear-interpolated percentile (`p` in `[0, 100]`) of a slice.
-/// Returns 0.0 for an empty slice.
+/// Returns 0.0 for an empty slice. Values are ranked by [`f32::total_cmp`],
+/// so the result is deterministic for any input order, NaNs included.
 ///
 /// # Panics
 ///
@@ -58,7 +59,9 @@ pub fn percentile(values: &[f32], p: f32) -> f32 {
         return 0.0;
     }
     let mut sorted: Vec<f32> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    // A total order makes the result independent of input order even with
+    // NaNs present (they sort to the ends by sign bit).
+    sorted.sort_unstable_by(f32::total_cmp);
     let rank = p / 100.0 * (sorted.len() - 1) as f32;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -253,6 +256,28 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 4.0);
         assert!((percentile(&v, 50.0) - 2.5).abs() < 1e-6);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn percentile_with_nan_is_independent_of_input_order() {
+        let values = [0.5f32, f32::NAN, -1.25, 3.0, 0.0, 2.5, -0.75];
+        let expected: Vec<u32> = [10.0, 50.0, 90.0]
+            .iter()
+            .map(|&p| percentile(&values, p).to_bits())
+            .collect();
+        let mut permuted = values;
+        for rotation in 0..values.len() {
+            permuted.rotate_left(1);
+            let mut reversed = permuted;
+            reversed.reverse();
+            for candidate in [permuted, reversed] {
+                let got: Vec<u32> = [10.0, 50.0, 90.0]
+                    .iter()
+                    .map(|&p| percentile(&candidate, p).to_bits())
+                    .collect();
+                assert_eq!(got, expected, "rotation {rotation}: {candidate:?}");
+            }
+        }
     }
 
     #[test]

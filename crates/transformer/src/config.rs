@@ -7,10 +7,8 @@
 //! patches plus the class token). Layer and head counts follow the public
 //! model cards.
 
-use serde::{Deserialize, Serialize};
-
 /// The transformer model families evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// End-to-end memory network evaluated on the 20 bAbI tasks.
     MemN2N,
@@ -67,7 +65,7 @@ impl std::fmt::Display for ModelFamily {
 /// * **Trainable-scale** ([`ModelConfig::train_scale`]) — a reduced copy used
 ///   by the fine-tuning experiments so that threshold learning runs in
 ///   seconds on a CPU while exercising exactly the same code path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Which family this configuration belongs to.
     pub family: ModelFamily,

@@ -22,10 +22,9 @@ use crate::config::ModelConfig;
 use leopard_tensor::{rng, Matrix};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a synthetic classification task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpec {
     /// Number of classes.
     pub classes: usize,
@@ -173,7 +172,7 @@ impl TaskGenerator {
 /// score matrices (e.g. 512 x 512 for BERT) without training a full-scale
 /// model: a small fraction `important_fraction` of each row is drawn from a
 /// high-score distribution and the rest from a low-score background.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoreDistribution {
     /// Fraction of scores per row drawn from the "important" component.
     pub important_fraction: f32,

@@ -19,11 +19,10 @@ use leopard_accel::schedule::{plan_layer, LayerPlan, Placement, PlannedHead};
 use leopard_accel::sim::{simulate_head, HeadSimResult, HeadWorkload};
 use leopard_tensor::{rng, stats, Matrix};
 use leopard_transformer::config::ModelFamily;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Options controlling how a task is turned into a simulator workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineOptions {
     /// Cap on the simulated sequence length. Speedup and energy ratios are
     /// ratios of quantities that all scale with `s^2`, so simulating a
@@ -79,7 +78,7 @@ impl PipelineOptions {
 }
 
 /// Measured results for one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskResult {
     /// Task name (copied from the descriptor).
     pub name: String,
@@ -142,7 +141,7 @@ pub fn threshold_for_rate(q: &Matrix, k: &Matrix, target_rate: f32) -> f32 {
 /// A suite run decomposes into `tasks x heads x SimUnitKind::ALL` independent
 /// simulation units — the job granularity of the parallel engine in
 /// `leopard-runtime`. [`run_task`] executes the same units inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimUnitKind {
     /// Unpruned full-precision baseline (the denominator of every ratio).
     Baseline,
@@ -362,11 +361,11 @@ pub fn plan_task_layer_at_rate(
 /// pruning-rate quantile, quantize. This is the (memoizable) construction
 /// stage of the pipeline; it is a pure function of `(task, options, head)`.
 ///
-/// The returned workload carries the bit-plane K decomposition
-/// (`HeadWorkload::k_planes`), built here **once per head**: the four
+/// The returned workload caches the batched kernel's packed K operands
+/// (`HeadWorkload::packed_keys_at`) **once per bit-serial plan**: the four
 /// simulation units of [`SimUnitKind::ALL`] — and, through the runtime
-/// cache, every sweep design point sharing the operands — reuse it instead
-/// of re-decomposing K per unit.
+/// cache, every sweep design point sharing the operands — reuse them
+/// instead of re-packing K per unit.
 pub fn build_head_workload(
     task: &TaskDescriptor,
     options: &PipelineOptions,
@@ -559,7 +558,7 @@ pub fn run_task(task: &TaskDescriptor, options: &PipelineOptions) -> TaskResult 
 
 /// Summary over many task results: geometric means of the speedups and
 /// energy reductions, mirroring the GMean rows of Figures 9 and 10.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteSummary {
     /// Geometric-mean AE-LeOPArd speedup.
     pub ae_speedup_gmean: f64,
@@ -744,20 +743,11 @@ mod tests {
     }
 
     #[test]
-    fn built_workload_carries_the_bit_plane_decomposition() {
-        // One decomposition per head, sized for the quantization width, so
-        // the four simulation units never rebuild it — and the kernel path
-        // (simulate_head) agrees exactly with the retained reference.
+    fn built_workload_matches_reference_on_every_unit() {
+        // The kernel path (simulate_head) agrees exactly with the scalar
+        // reference on a built workload, for every simulation unit.
         let suite = full_suite();
-        let task = &suite[0];
-        let options = quick_options();
-        let workload = build_head_workload(task, &options, 0);
-        assert_eq!(workload.k_planes.len(), workload.k_codes.len());
-        assert_eq!(
-            workload.k_planes[0].magnitude_bits(),
-            options.qk_bits - 1,
-            "planes must be sized for the simulated operand width"
-        );
+        let workload = build_head_workload(&suite[0], &quick_options(), 0);
         for kind in SimUnitKind::ALL {
             let config = kind.tile_config();
             assert_eq!(

@@ -1,14 +1,11 @@
 //! Perf trajectory harness for the QK kernels.
 //!
 //! Times `simulate_head` (the batched bit-parallel SoA kernel v2) against
-//! `simulate_head_pairwise` (the retained v1 incremental bit-plane kernel)
-//! and `simulate_head_reference` (the scalar DPU path) on the acceptance
-//! workload — s = 256, d = 64, `TileConfig::ae_leopard()` — verifies all
-//! three produce bit-identical results **before** timing, and writes
-//! `BENCH_qk_kernel.json` so later PRs can track the speedup over time.
-//!
-//! The kernel-v2 acceptance bar is a ≥2× head-level speedup over the v1
-//! kernel, asserted here so the bench run itself fails a regression.
+//! `simulate_head_reference` (the scalar DPU path) on the acceptance
+//! workload — s = 256, d = 64, `TileConfig::ae_leopard()` — verifies both
+//! produce bit-identical results **before** timing, and writes
+//! `BENCH_qk_kernel.json` so the speedup can be tracked over time
+//! (`tools/perf_guard.sh` guards it).
 //!
 //! Run with:
 //!
@@ -17,9 +14,7 @@
 //! ```
 
 use leopard::accel::config::TileConfig;
-use leopard::accel::sim::{
-    simulate_head, simulate_head_pairwise, simulate_head_reference, HeadWorkload,
-};
+use leopard::accel::sim::{simulate_head, simulate_head_reference, HeadWorkload};
 use leopard::workloads::pipeline::{synthesize_qk, threshold_for_rate};
 use std::time::Instant;
 
@@ -50,18 +45,13 @@ fn main() {
     let threshold = threshold_for_rate(&q, &k, PRUNING_TARGET);
     let workload = HeadWorkload::from_float(&q, &k, threshold, QK_BITS);
 
-    // Bit-identity across all three paths is asserted before any timing —
-    // a fast wrong kernel must never post a number.
+    // Bit-identity is asserted before any timing — a fast wrong kernel must
+    // never post a number.
     let v2_result = simulate_head(&workload, &config);
-    let v1_result = simulate_head_pairwise(&workload, &config);
     let reference_result = simulate_head_reference(&workload, &config);
     assert_eq!(
         v2_result, reference_result,
         "kernel v2 and reference paths must be bit-identical"
-    );
-    assert_eq!(
-        v1_result, reference_result,
-        "kernel v1 and reference paths must be bit-identical"
     );
 
     println!(
@@ -72,27 +62,17 @@ fn main() {
     );
 
     let wall_ns_reference = time_ns(|| simulate_head_reference(&workload, &config));
-    let wall_ns_kernel_v1 = time_ns(|| simulate_head_pairwise(&workload, &config));
     let wall_ns_kernel = time_ns(|| simulate_head(&workload, &config));
     let speedup = wall_ns_reference as f64 / wall_ns_kernel.max(1) as f64;
-    let speedup_vs_v1 = wall_ns_kernel_v1 as f64 / wall_ns_kernel.max(1) as f64;
 
     println!("reference path:  {:>12} ns / head", wall_ns_reference);
-    println!("kernel v1 path:  {:>12} ns / head", wall_ns_kernel_v1);
     println!("kernel v2 path:  {:>12} ns / head", wall_ns_kernel);
     println!("v2 vs reference: {:>12.2}x", speedup);
-    println!("v2 vs v1:        {:>12.2}x", speedup_vs_v1);
 
-    assert!(
-        speedup_vs_v1 >= 2.0,
-        "kernel v2 acceptance bar: expected >=2x over the v1 kernel, measured {speedup_vs_v1:.2}x"
-    );
-
-    // "speedup" (v2 over the scalar reference) stays the LAST speedup key:
-    // tools/perf_guard.sh reads the last "speedup" entry as the guarded
-    // trajectory value.
+    // "speedup" (v2 over the scalar reference) is the guarded trajectory
+    // value: tools/perf_guard.sh reads the last "speedup" entry.
     let json = format!(
-        "{{\n  \"config\": {{\n    \"seq_len\": {S},\n    \"head_dim\": {D},\n    \"tile\": \"{}\",\n    \"qk_bits\": {QK_BITS},\n    \"serial_bits\": {},\n    \"pruning_target\": {PRUNING_TARGET},\n    \"seed\": {SEED}\n  }},\n  \"wall_ns_reference\": {wall_ns_reference},\n  \"wall_ns_kernel_v1\": {wall_ns_kernel_v1},\n  \"wall_ns_kernel\": {wall_ns_kernel},\n  \"speedup_vs_v1\": {speedup_vs_v1:.3},\n  \"speedup\": {speedup:.3}\n}}\n",
+        "{{\n  \"config\": {{\n    \"seq_len\": {S},\n    \"head_dim\": {D},\n    \"tile\": \"{}\",\n    \"qk_bits\": {QK_BITS},\n    \"serial_bits\": {},\n    \"pruning_target\": {PRUNING_TARGET},\n    \"seed\": {SEED}\n  }},\n  \"wall_ns_reference\": {wall_ns_reference},\n  \"wall_ns_kernel\": {wall_ns_kernel},\n  \"speedup\": {speedup:.3}\n}}\n",
         config.name, config.serial_bits
     );
     std::fs::write("BENCH_qk_kernel.json", &json).expect("write BENCH_qk_kernel.json");
