@@ -34,12 +34,16 @@
 //! is exact integer math; the differential tests below and
 //! `tests/kernel_dispatch.rs` pin the equivalence.
 //!
+//! The kernel models one mode: pruning with margin-based early termination
+//! under a bit-serial plan. That is all the simulator's functional pass
+//! ([`crate::outcomes`]) needs — the pruning-only and unpruned outcomes of
+//! the same plan follow from it without another sweep.
+//!
 //! Q codes must lie in the `i16` operand range `±i16::MAX` — a checked
 //! precondition ([`QkKernelV2::compute_row_into`] asserts it, and
 //! `HeadWorkload::from_codes` rejects workloads that violate it). The
 //! quantizer's symmetric codes at up to 16 bits always satisfy it.
 
-use crate::config::TileConfig;
 use crate::dpu::DotProductOutcome;
 use leopard_quant::bitserial::BitSerialPlan;
 use leopard_quant::planes::KPlanesSoa;
@@ -87,9 +91,11 @@ impl KernelPath {
 /// sweep's dot products run over — one truncated matrix per reveal cycle,
 /// plus the sign-factor matrix behind the factored margin.
 ///
-/// Packing costs one pass over the column set and is amortized by the
-/// per-workload cache (`HeadWorkload::packed_keys_at`) across every row,
-/// shard, and repeated simulation of the same head.
+/// Packing costs one pass over the column set and is amortized across
+/// every Q row of a functional pass
+/// ([`OutcomeTable::from_kernel`](crate::outcomes::OutcomeTable::from_kernel)),
+/// which builds the pack, sweeps every row, and drops it: the simulator
+/// caches outcome tables, not packs.
 #[derive(Debug, Clone)]
 pub struct PackedKeys {
     plan: BitSerialPlan,
@@ -199,61 +205,41 @@ impl RowScratchV2 {
     }
 }
 
-/// The batched bit-parallel QK kernel for one tile configuration. See the
-/// module docs for the algorithm; outcomes are bit-identical to
-/// [`crate::dpu::QkDpu`] on every input within the `i16` Q operand range.
+/// The batched bit-parallel QK kernel for one bit-serial plan, with pruning
+/// and early termination on. See the module docs for the algorithm;
+/// outcomes are bit-identical to [`crate::dpu::QkDpu`] under an
+/// early-termination configuration of the plan, on every input within the
+/// `i16` Q operand range.
 #[derive(Debug, Clone)]
 pub struct QkKernelV2 {
-    config: TileConfig,
     plan: BitSerialPlan,
     total_cycles: u32,
-    pruning: bool,
-    early_termination: bool,
     /// `max_remaining_magnitude(c)` for `c` in `0..=total_cycles`.
     mrm: Vec<i64>,
     path: KernelPath,
 }
 
 impl QkKernelV2 {
-    /// Builds the kernel with the best path this machine supports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(config: TileConfig) -> Self {
-        Self::with_path(config, KernelPath::detect())
+    /// Builds the kernel for `plan` with the best path this machine
+    /// supports.
+    pub fn new(plan: BitSerialPlan) -> Self {
+        Self::with_path(plan, KernelPath::detect())
     }
 
-    /// Builds the kernel on an explicitly requested path. The request is
-    /// [resolved](KernelPath::resolve) against the machine: asking for
-    /// [`KernelPath::Wide`] without AVX2 yields the portable path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn with_path(config: TileConfig, path: KernelPath) -> Self {
-        config
-            .validate()
-            // lint:allow(panic-in-library, reason = "constructor contract documented under # Panics; configs are validated at parse time and invalid ones here are programmer errors")
-            .unwrap_or_else(|e| panic!("invalid tile config: {e}"));
-        let plan = config.bit_serial_plan();
+    /// Builds the kernel for `plan` on an explicitly requested path. The
+    /// request is [resolved](KernelPath::resolve) against the machine:
+    /// asking for [`KernelPath::Wide`] without AVX2 yields the portable
+    /// path.
+    pub fn with_path(plan: BitSerialPlan, path: KernelPath) -> Self {
         let mrm = (0..=plan.total_cycles())
             .map(|c| plan.max_remaining_magnitude(c) as i64)
             .collect();
         Self {
-            config,
             plan,
             total_cycles: plan.total_cycles(),
-            pruning: config.pruning_enabled,
-            early_termination: config.pruning_enabled && config.early_termination,
             mrm,
             path: path.resolve(),
         }
-    }
-
-    /// The tile configuration this kernel follows.
-    pub fn config(&self) -> &TileConfig {
-        &self.config
     }
 
     /// The bit-serial schedule K magnitudes follow.
@@ -274,7 +260,8 @@ impl QkKernelV2 {
 
     /// Computes one outcome per K column for one Q row, appending into
     /// `out` (cleared first), in column order — outcome `j` equals
-    /// [`crate::dpu::QkDpu::compute`] on column `j`, field for field.
+    /// [`crate::dpu::QkDpu::compute`] on column `j` under an
+    /// early-termination configuration of the plan, field for field.
     ///
     /// # Panics
     ///
@@ -329,8 +316,6 @@ impl QkKernelV2 {
         let sweep = RowSweep {
             plan: self.plan,
             total_cycles: self.total_cycles,
-            pruning: self.pruning,
-            early_termination: self.early_termination,
             mrm: &self.mrm,
             packed,
             threshold,
@@ -397,8 +382,6 @@ pub(crate) fn fits_i16_operand(code: i32) -> bool {
 struct RowSweep<'a> {
     plan: BitSerialPlan,
     total_cycles: u32,
-    pruning: bool,
-    early_termination: bool,
     mrm: &'a [i64],
     packed: &'a PackedKeys,
     threshold: i64,
@@ -631,32 +614,6 @@ fn sweep_core(
         ]
     }
 
-    // Without early termination every pair pays the full reveal window and
-    // only the exact product matters: one dense dot per column decides it.
-    if !job.early_termination {
-        let full: &[i16] = &job.packed.trunc[(total - 1) as usize];
-        let outcome = |exact: i64| DotProductOutcome {
-            cycles: total,
-            bits_processed: job.plan.magnitude_bits,
-            terminated_early: false,
-            pruned: job.pruning && exact < job.threshold,
-            partial_sum: exact,
-        };
-        let mut j = 0usize;
-        while j + 4 <= packed.cols {
-            let exact = dot4(q16, col4(full, j, len), job.chunk);
-            for (t, &e) in exact.iter().enumerate() {
-                out[j + t] = outcome(e);
-            }
-            j += 4;
-        }
-        while j < packed.cols {
-            out[j] = outcome(dot(q16, col(full, j, len), job.chunk));
-            j += 1;
-        }
-        return;
-    }
-
     // Concordant |Q| sums for every column: with weight_j = Σ nz_ji·|q_i|
     // and signed_j = Σ s_ji·q_i, conc_j is their mean (exact: the sum is
     // always even). The weight term never needs a dense dot — it is
@@ -740,11 +697,13 @@ fn sweep_core(
                     *alive_word &= !(1u64 << (j % 64));
                     remaining -= 1;
                 } else if last {
+                    // The margin is zero on the last cycle, so a score that
+                    // gets here is at or above the threshold: it survives.
                     out[j] = DotProductOutcome {
                         cycles: total,
                         bits_processed: job.plan.magnitude_bits,
                         terminated_early: false,
-                        pruned: job.pruning && partial < job.threshold,
+                        pruned: false,
                         partial_sum: partial,
                     };
                 }
@@ -818,6 +777,7 @@ fn sweep_portable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TileConfig;
     use crate::dpu::QkDpu;
     use leopard_quant::bitserial::BitSerialVector;
     use leopard_tensor::rng;
@@ -829,12 +789,16 @@ mod tests {
         (0..n).map(|_| r.gen_range(-max..=max)).collect()
     }
 
-    fn presets() -> [TileConfig; 4] {
+    /// Early-termination configurations over the plans of all four
+    /// presets — AE, HP and pruning-only share (11, 2), the baseline's
+    /// fully parallel plan is (11, 11) — plus two more granularities.
+    fn configs() -> [TileConfig; 4] {
+        let ae = TileConfig::ae_leopard();
         [
-            TileConfig::baseline(),
-            TileConfig::ae_leopard(),
-            TileConfig::hp_leopard(),
-            TileConfig::pruning_only(),
+            ae,
+            ae.with_serial_bits(12),
+            ae.with_serial_bits(1),
+            ae.with_serial_bits(4),
         ]
     }
 
@@ -868,7 +832,7 @@ mod tests {
         let packed = packed_for(config, k_columns);
         let expected = dpu_outcomes(config, q, k_columns, threshold);
         for path in [KernelPath::Wide, KernelPath::Portable] {
-            let v2 = QkKernelV2::with_path(config, path);
+            let v2 = QkKernelV2::with_path(config.bit_serial_plan(), path);
             assert_eq!(
                 v2.compute_row_outcomes(q, &packed, threshold),
                 expected,
@@ -881,8 +845,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_matches_reference_on_all_presets() {
-        for config in presets() {
+    fn v2_matches_reference_on_every_preset_plan() {
+        for config in configs() {
             for seed in 0..20u64 {
                 let q = random_codes(64, seed, 2047);
                 let keys: Vec<Vec<i32>> = (0..48)
@@ -906,7 +870,7 @@ mod tests {
                 let keys: Vec<Vec<i32>> = (0..s)
                     .map(|j| random_codes(d, j as u64 + 7, 2047))
                     .collect();
-                for config in presets() {
+                for config in configs() {
                     assert_v2_matches_reference(config, &q, &keys, 0);
                 }
             }
@@ -917,8 +881,8 @@ mod tests {
     fn row_batched_outcomes_equal_per_column_outcomes() {
         // Batching never couples columns: the whole-set sweep equals one
         // single-column sweep per key, and both equal the DPU.
-        for config in presets() {
-            let v2 = QkKernelV2::new(config);
+        for config in configs() {
+            let v2 = QkKernelV2::new(config.bit_serial_plan());
             let q = random_codes(64, 1, 2047);
             let keys: Vec<Vec<i32>> = (0..70).map(|j| random_codes(64, 100 + j, 2047)).collect();
             let batched = v2.compute_row_outcomes(&q, &v2.pack(&keys), 50);
@@ -935,7 +899,7 @@ mod tests {
         // A wide row followed by a narrow one (and a different column count)
         // must not see stale operands, sums or alive words.
         let config = TileConfig::ae_leopard();
-        let v2 = QkKernelV2::new(config);
+        let v2 = QkKernelV2::new(config.bit_serial_plan());
         let mut scratch = RowScratchV2::new();
         let mut out = Vec::new();
 
@@ -965,7 +929,11 @@ mod tests {
         q[5] = 1_000_000;
         q[40] = -40_000;
         let keys: Vec<Vec<i32>> = (0..65).map(|j| random_codes(64, 50 + j, 2047)).collect();
-        let _ = QkKernelV2::new(config).compute_row_outcomes(&q, &packed_for(config, &keys), 0);
+        let _ = QkKernelV2::new(config.bit_serial_plan()).compute_row_outcomes(
+            &q,
+            &packed_for(config, &keys),
+            0,
+        );
     }
 
     #[test]
@@ -992,17 +960,21 @@ mod tests {
 
     #[test]
     fn requested_wide_path_resolves_on_every_machine() {
-        let v2 = QkKernelV2::with_path(TileConfig::ae_leopard(), KernelPath::Wide);
+        let v2 =
+            QkKernelV2::with_path(TileConfig::ae_leopard().bit_serial_plan(), KernelPath::Wide);
         // Resolution never leaves an unrunnable path behind.
         assert_eq!(v2.path(), KernelPath::detect());
-        let portable = QkKernelV2::with_path(TileConfig::ae_leopard(), KernelPath::Portable);
+        let portable = QkKernelV2::with_path(
+            TileConfig::ae_leopard().bit_serial_plan(),
+            KernelPath::Portable,
+        );
         assert_eq!(portable.path(), KernelPath::Portable);
     }
 
     #[test]
     fn empty_column_sets_yield_no_outcomes() {
         let config = TileConfig::ae_leopard();
-        let v2 = QkKernelV2::new(config);
+        let v2 = QkKernelV2::new(config.bit_serial_plan());
         let packed = packed_for(config, &[]);
         assert!(packed.is_empty());
         assert!(v2.compute_row_outcomes(&[], &packed, 0).is_empty());
@@ -1012,7 +984,11 @@ mod tests {
     #[should_panic(expected = "different bit-serial plan")]
     fn mismatched_plan_panics() {
         let packed = packed_for(TileConfig::ae_leopard(), &[vec![1, 2, 3]]);
-        let v2 = QkKernelV2::new(TileConfig::ae_leopard().with_serial_bits(4));
+        let v2 = QkKernelV2::new(
+            TileConfig::ae_leopard()
+                .with_serial_bits(4)
+                .bit_serial_plan(),
+        );
         let _ = v2.compute_row_outcomes(&[1, 2, 3], &packed, 0);
     }
 
@@ -1020,7 +996,7 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn mismatched_lengths_panic() {
         let packed = packed_for(TileConfig::ae_leopard(), &[vec![1, 2, 3]]);
-        let v2 = QkKernelV2::new(TileConfig::ae_leopard());
+        let v2 = QkKernelV2::new(TileConfig::ae_leopard().bit_serial_plan());
         let _ = v2.compute_row_outcomes(&[1, 2], &packed, 0);
     }
 
@@ -1028,9 +1004,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The v2 differential contract: for random (Q, K-set, threshold),
-        /// every bit-serial granularity in 1..=4, all four presets, and both
-        /// dispatch paths, the batched kernel's outcomes equal the scalar
-        /// reference DPU's exactly — every field of every column.
+        /// every bit-serial granularity in 1..=4, the plans of all four
+        /// presets, and both dispatch paths, the batched kernel's outcomes
+        /// equal the early-terminating scalar reference DPU's exactly —
+        /// every field of every column.
         #[test]
         fn prop_v2_outcomes_equal_reference_dpu(
             q in proptest::collection::vec(-2047i32..=2047, 1..40),
@@ -1044,12 +1021,12 @@ mod tests {
             let keys: Vec<Vec<i32>> = (0..cols)
                 .map(|j| random_codes(d, key_seed + j as u64, 2047))
                 .collect();
-            let base = presets()[preset as usize];
+            let base = configs()[preset as usize];
             for config in [base, base.with_serial_bits(bits_per_cycle)] {
                 let packed = packed_for(config, &keys);
                 let expected = dpu_outcomes(config, &q, &keys, threshold);
                 for path in [KernelPath::Wide, KernelPath::Portable] {
-                    let v2 = QkKernelV2::with_path(config, path);
+                    let v2 = QkKernelV2::with_path(config.bit_serial_plan(), path);
                     prop_assert_eq!(
                         v2.compute_row_outcomes(&q, &packed, threshold),
                         expected.clone()

@@ -20,13 +20,18 @@
 //!   masks, runtime-dispatched between a wide (`std::arch`-detected) path
 //!   and a portable scalar-word path, both bit-identical to the reference
 //!   DPU.
+//! * [`outcomes`] — the simulator's functional pass: per-pair cycles and
+//!   pruned flags of a head under one bit-serial plan, recorded once (on
+//!   the kernel with early termination on, or on the reference DPU) and
+//!   shared by every configuration of that plan.
 //! * [`sim`] — the tile simulator: Q rows stream through `N_QK` DPUs, pruned
 //!   scores never reach the back-end, surviving scores queue through the
 //!   Score/IDX FIFOs to the V-PU; the simulator reports cycle counts, event
-//!   counts, V-PU utilization, and bit-profile statistics. Runs on the
-//!   batched kernel; `sim::simulate_head_reference` runs the same
-//!   accounting on the reference DPU for differential tests and
-//!   benchmarks.
+//!   counts, V-PU utilization, and bit-profile statistics. Its timing pass
+//!   folds an outcome table over any `N_QK` and shard of rows;
+//!   `sim::simulate_head` caches the kernel's table per head and plan, and
+//!   `sim::simulate_head_reference` times the reference DPU's table for
+//!   differential tests and benchmarks.
 //! * [`baseline`] — the same tile without pruning or bit-serial early
 //!   termination (one full-precision dot product per cycle), the comparison
 //!   point for Figures 9–11.
@@ -67,6 +72,7 @@ pub mod cost;
 pub mod dpu;
 pub mod energy;
 pub mod kernel_v2;
+pub mod outcomes;
 pub mod schedule;
 pub mod sim;
 pub mod softmax;
@@ -76,6 +82,7 @@ pub use cost::{head_cost, HeadCost};
 pub use dpu::{DotProductOutcome, QkDpu};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use kernel_v2::{KernelPath, PackedKeys, QkKernelV2, RowScratchV2};
+pub use outcomes::OutcomeTable;
 pub use schedule::{schedule_layer, schedule_model, LayerSchedule, ModelSchedule, Placement};
 pub use sim::{simulate_head, simulate_head_reference, HeadSimResult, HeadWorkload};
 pub use softmax::{SoftmaxLut, SoftmaxLutConfig};

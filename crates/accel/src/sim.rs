@@ -12,25 +12,38 @@
 //! The simulator's outputs are cycle counts, event counts (for the energy
 //! model), per-row utilization, and the bit-profile histogram behind Figure 8.
 //!
-//! Two interchangeable inner loops produce the per-pair dot-product
-//! outcomes: [`simulate_head`] runs the batched bit-parallel kernel
-//! ([`crate::kernel_v2`], runtime-dispatched between a wide and a portable
-//! path), and [`simulate_head_reference`] the scalar per-element DPU
-//! ([`crate::dpu`]), the single oracle. Their results are bit-identical by
-//! contract; both share one accounting loop, so the equivalence reduces to
-//! the per-pair outcomes the differential tests pin down.
+//! Simulation runs in two passes, following the hardware's own
+//! front-end/back-end split:
 //!
-//! The accounting loop itself operates at **shard** granularity: a
-//! contiguous range of Q rows yields a [`TileShardSim`], and
-//! [`merge_shards`] reconstructs the exact single-tile [`HeadSimResult`]
-//! from any contiguous shard decomposition — the mechanism behind the
-//! multi-tile scheduler in [`crate::schedule`] and its determinism
-//! contract (partitioning never changes merged results).
+//! 1. The **functional pass** ([`crate::outcomes`]) decides every (Q row, K
+//!    column) pair's outcome — cycles spent and pruned or not — into an
+//!    [`OutcomeTable`]. Outcomes depend only on the workload, the
+//!    bit-serial plan and the pruning flags, never on `N_QK`, so
+//!    [`simulate_head`] runs the batched kernel ([`crate::kernel_v2`]) once
+//!    per `(head, plan)` with early termination on and caches the table on
+//!    the [`HeadWorkload`]. Every configuration sharing the plan (AE, HP,
+//!    pruning-only, every `N_QK` design point) reuses it, and the unpruned
+//!    baseline needs no table at all: its outcomes are analytic.
+//!    [`simulate_head_reference`] fills the same table from the scalar
+//!    per-element DPU ([`crate::dpu`]), the single oracle, under each
+//!    configuration's own flags.
+//! 2. The **timing pass** ([`timing_pass`]) deals each row's pair cycles
+//!    round-robin over the configuration's `N_QK` DPUs, takes the busiest
+//!    DPU as the row's front-end time, and runs the pipeline recurrence.
+//!    One timing pass serves the kernel and the reference alike, so kernel
+//!    ≡ reference is a statement about outcomes only.
+//!
+//! The timing pass operates at **shard** granularity: a contiguous range of
+//! Q rows yields a [`TileShardSim`], and [`merge_shards`] reconstructs the
+//! exact single-tile [`HeadSimResult`] from any contiguous shard
+//! decomposition — the mechanism behind the multi-tile scheduler in
+//! [`crate::schedule`] and its determinism contract (partitioning never
+//! changes merged results).
 
 use crate::config::TileConfig;
-use crate::dpu::{DotProductOutcome, QkDpu};
-use crate::kernel_v2::{fits_i16_operand, KernelPath, PackedKeys, QkKernelV2, RowScratchV2};
-use leopard_quant::bitserial::{BitSerialPlan, BitSerialVector};
+use crate::kernel_v2::{fits_i16_operand, KernelPath, PackedKeys};
+use crate::outcomes::{OutcomeTable, PruningMode, CYCLES_MASK};
+use leopard_quant::bitserial::BitSerialPlan;
 use leopard_quant::fixed::QuantParams;
 use leopard_tensor::Matrix;
 use std::collections::BTreeMap;
@@ -48,35 +61,47 @@ pub struct HeadWorkload {
     pub threshold_int: i64,
     /// Head dimension `d`.
     pub head_dim: usize,
-    /// Lazily-built [`PackedKeys`] operand packs of `k_codes`, one per
-    /// bit-serial plan (the batched kernel's input), shared across
-    /// simulation units. Cloning a workload keeps the cache warm (the
-    /// entries are `Arc`-shared).
+    /// Lazily-built functional-pass [`OutcomeTable`]s of this head, one per
+    /// bit-serial plan, shared across simulation units and design points.
+    /// Cloning a workload keeps the cache warm (the entries are
+    /// `Arc`-shared).
     ///
-    /// Invariant: the cache must stay in sync with `k_codes` — build
-    /// workloads through [`HeadWorkload::from_codes`] /
-    /// [`HeadWorkload::from_float`] rather than mutating `k_codes` in
-    /// place. A struct literal may start it empty ([`PlaneCache::default`]);
-    /// entries are built on first use.
-    pub plane_cache: PlaneCache,
+    /// Invariant: the cache must stay in sync with `q_codes` and `k_codes`
+    /// — build workloads through [`HeadWorkload::from_codes`] /
+    /// [`HeadWorkload::from_float`] rather than mutating the codes in
+    /// place. Entries are keyed by `threshold_int` too, so a copy with a
+    /// different threshold never reads a stale table. A struct literal may
+    /// start it empty ([`OutcomeCache::default`]); entries are built on
+    /// first use.
+    pub outcome_cache: OutcomeCache,
 }
 
-/// The per-workload cache behind [`HeadWorkload::packed_keys_at`]:
-/// plan-keyed packed kernel operands behind `Arc`, so concurrent simulation
-/// units share one build.
+/// The per-workload cache behind [`HeadWorkload::outcome_table`]:
+/// early-termination outcome tables keyed by `(threshold, magnitude bits,
+/// bits per cycle)` behind `Arc`, so concurrent simulation units share one
+/// functional pass. It holds tables only: the kernel's packed operands are
+/// transient.
 #[derive(Debug, Default)]
-pub struct PlaneCache {
-    packed: Mutex<BTreeMap<(u32, u32), Arc<PackedKeys>>>,
+pub struct OutcomeCache {
+    tables: Mutex<BTreeMap<(i64, u32, u32), Arc<OutcomeTable>>>,
 }
 
-impl Clone for PlaneCache {
+impl OutcomeCache {
+    /// The resident tables, in key order.
+    pub fn tables(&self) -> Vec<Arc<OutcomeTable>> {
+        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only run the functional pass and insert, so propagating the poison panic is the correct failure mode")
+        self.tables.lock().unwrap().values().cloned().collect()
+    }
+}
+
+impl Clone for OutcomeCache {
     /// Clones the cache *contents* (cheap `Arc` clones), so a cloned
-    /// workload starts warm instead of re-packing every plan.
+    /// workload starts warm instead of re-running the functional pass.
     fn clone(&self) -> Self {
-        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only allocate and insert, so propagating the poison panic is the correct failure mode")
-        let packed = self.packed.lock().unwrap().clone();
+        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded sections only run the functional pass and insert, so propagating the poison panic is the correct failure mode")
+        let tables = self.tables.lock().unwrap().clone();
         Self {
-            packed: Mutex::new(packed),
+            tables: Mutex::new(tables),
         }
     }
 }
@@ -144,7 +169,7 @@ impl HeadWorkload {
             k_codes,
             threshold_int,
             head_dim,
-            plane_cache: PlaneCache::default(),
+            outcome_cache: OutcomeCache::default(),
         }
     }
 
@@ -153,19 +178,27 @@ impl HeadWorkload {
         self.q_codes.len()
     }
 
-    /// The packed batched-kernel operands ([`PackedKeys`]) for a bit-serial
-    /// plan, built at most once per `(magnitude width, bits per cycle)` per
-    /// workload and shared behind an `Arc` — every row, shard, and repeated
-    /// simulation of this head amortizes one pack.
-    pub fn packed_keys_at(&self, plan: BitSerialPlan) -> Arc<PackedKeys> {
-        let key = (plan.magnitude_bits, plan.bits_per_cycle);
-        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded section only packs and inserts, so propagating the poison panic is the correct failure mode")
-        let mut packed = self.plane_cache.packed.lock().unwrap();
-        if let Some(hit) = packed.get(&key) {
+    /// The functional pass for a bit-serial plan: the early-termination
+    /// [`OutcomeTable`] of every Q row, computed on the batched kernel at
+    /// most once per `(threshold, plan)` per workload and shared behind an
+    /// `Arc` — every shard, configuration and repeated simulation of this
+    /// head under the plan reuses one kernel sweep.
+    pub fn outcome_table(&self, plan: BitSerialPlan) -> Arc<OutcomeTable> {
+        let key = (self.threshold_int, plan.magnitude_bits, plan.bits_per_cycle);
+        // lint:allow(panic-in-library, reason = "mutex poisoning requires a prior panic while holding the lock; the guarded section only runs the functional pass and inserts, so propagating the poison panic is the correct failure mode")
+        let mut tables = self.outcome_cache.tables.lock().unwrap();
+        if let Some(hit) = tables.get(&key) {
             return Arc::clone(hit);
         }
-        let built = Arc::new(PackedKeys::pack(&self.k_codes, plan));
-        packed.insert(key, Arc::clone(&built));
+        // The pack lives only as long as the pass: the cache keeps tables.
+        let packed = PackedKeys::pack(&self.k_codes, plan);
+        let built = Arc::new(OutcomeTable::from_kernel(
+            self,
+            &packed,
+            0..self.seq_len(),
+            KernelPath::detect(),
+        ));
+        tables.insert(key, Arc::clone(&built));
         built
     }
 }
@@ -250,6 +283,16 @@ impl HeadSimResult {
         weighted as f64 / total as f64
     }
 
+    /// How the head's dot products left the reveal window — see
+    /// [`TileShardSim::outcome_mix`].
+    pub fn outcome_mix(&self) -> OutcomeMix {
+        OutcomeMix::from_counts(
+            self.pruned_scores,
+            self.surviving_scores,
+            &self.pruned_bits_histogram,
+        )
+    }
+
     /// Cumulative fraction of scores already pruned once `bits` magnitude
     /// bits have been processed (the Figure 8 curve). Scores that were never
     /// pruned do not contribute.
@@ -267,22 +310,28 @@ impl HeadSimResult {
     }
 }
 
-/// Simulates one attention head on a tile, on the batched bit-parallel
-/// kernel ([`QkKernelV2`]) with the best dispatch path this machine
-/// supports. Results are **bit-identical** to [`simulate_head_reference`]
-/// — the kernel ≡ reference contract enforced by the differential tests.
+/// Simulates one attention head on a tile: the functional pass on the
+/// batched bit-parallel kernel ([`HeadWorkload::outcome_table`], cached per
+/// plan) with the best dispatch path this machine supports, then the timing
+/// pass. Results are **bit-identical** to [`simulate_head_reference`] — the
+/// kernel ≡ reference contract enforced by the differential tests.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid or the workload is degenerate
 /// (zero-length sequence).
 pub fn simulate_head(workload: &HeadWorkload, config: &TileConfig) -> HeadSimResult {
-    simulate_head_with_path(workload, config, KernelPath::detect())
+    assert!(
+        workload.seq_len() > 0,
+        "workload must contain at least one query"
+    );
+    merge_shards(&[simulate_head_shard(workload, config, 0..workload.seq_len())])
 }
 
 /// [`simulate_head`] on an explicitly requested dispatch path (resolved
-/// against the machine — see [`KernelPath::resolve`]). The dispatch-layer
-/// differential tests use this to pin the wide and portable paths
+/// against the machine — see [`KernelPath::resolve`]). The functional pass
+/// runs afresh on that path instead of reading the workload's cache, so the
+/// dispatch-layer differential tests pin the wide and portable paths
 /// byte-identical on the same inputs.
 ///
 /// # Panics
@@ -306,15 +355,17 @@ pub fn simulate_head_with_path(
     )])
 }
 
-/// Simulates one contiguous shard of a head's Q rows on the batched
-/// bit-parallel kernel — the unit of tile-level parallelism. Every row still
-/// sees all K columns (only the Q dimension is partitioned across tiles),
-/// so per-row accounting is identical to the whole-head paths; the shard
-/// additionally records the boundary timing terms
-/// ([`merge_shards`] needs) that make the merge of contiguous shards
-/// bit-identical to simulating the head in one piece.
+/// Simulates one contiguous shard of a head's Q rows — the unit of
+/// tile-level parallelism. Every row still sees all K columns (only the Q
+/// dimension is partitioned across tiles), so per-row accounting is
+/// identical to the whole-head paths; the shard additionally records the
+/// boundary timing terms ([`merge_shards`] needs) that make the merge of
+/// contiguous shards bit-identical to simulating the head in one piece.
 ///
-/// An empty `rows` range yields the identity shard (all-zero accounting).
+/// Pruning configurations read the workload's cached functional pass, so
+/// only the first shard of a `(head, plan)` runs the kernel and the rest
+/// are timing-only; the baseline's outcomes are analytic. An empty `rows`
+/// range yields the identity shard (all-zero accounting).
 ///
 /// # Panics
 ///
@@ -325,11 +376,12 @@ pub fn simulate_head_shard(
     config: &TileConfig,
     rows: Range<usize>,
 ) -> TileShardSim {
-    simulate_head_shard_with_path(workload, config, rows, KernelPath::detect())
+    simulate_shard_on(workload, config, rows, |plan| workload.outcome_table(plan))
 }
 
 /// [`simulate_head_shard`] on an explicitly requested dispatch path — the
-/// shard-granular counterpart of [`simulate_head_with_path`].
+/// shard-granular counterpart of [`simulate_head_with_path`]. The
+/// functional pass covers just `rows` and bypasses the workload's cache.
 ///
 /// # Panics
 ///
@@ -341,19 +393,17 @@ pub fn simulate_head_shard_with_path(
     rows: Range<usize>,
     path: KernelPath,
 ) -> TileShardSim {
-    let kernel = QkKernelV2::with_path(*config, path); // validates the config once per shard
-    let packed = workload.packed_keys_at(kernel.plan());
-    let mut scratch = RowScratchV2::new();
-    let threshold = workload.threshold_int;
-    accumulate_rows(workload, config, rows, |q_row, out| {
-        kernel.compute_row_into(q_row, &packed, threshold, &mut scratch, out);
+    simulate_shard_on(workload, config, rows.clone(), |plan| {
+        let packed = PackedKeys::pack(&workload.k_codes, plan);
+        Arc::new(OutcomeTable::from_kernel(workload, &packed, rows, path))
     })
 }
 
 /// [`simulate_head_shard`] on the scalar per-pair reference DPU — the
 /// shard-granular counterpart of [`simulate_head_reference`], used by the
 /// tile-conformance tests to pin the partitioned path to the reference on
-/// both axes (inner loop *and* partitioning) at once.
+/// both axes (inner loop *and* partitioning) at once. The DPU runs under
+/// the configuration's own flags, with no derivation shortcuts.
 ///
 /// # Panics
 ///
@@ -364,24 +414,16 @@ pub fn simulate_head_shard_reference(
     config: &TileConfig,
     rows: Range<usize>,
 ) -> TileShardSim {
-    let dpu = QkDpu::new(*config); // validates the config once per shard
-    let plan = config.bit_serial_plan();
-    let k_vectors: Vec<BitSerialVector> = workload
-        .k_codes
-        .iter()
-        .map(|codes| BitSerialVector::new(codes, plan))
-        .collect();
-    let threshold = workload.threshold_int;
-    accumulate_rows(workload, config, rows, |q_row, out| {
-        out.clear();
-        out.extend(k_vectors.iter().map(|k| dpu.compute(q_row, k, threshold)));
-    })
+    let table = OutcomeTable::from_reference(workload, config, rows.clone());
+    timing_pass(&table, config, rows)
 }
 
 /// Simulates one attention head with the scalar per-pair [`QkDpu`] — the
 /// reference implementation the kernel path is differentially tested (and
-/// benchmarked) against. Same accounting, same results, no
-/// incremental arithmetic.
+/// benchmarked) against. Same timing pass, same results, no incremental
+/// arithmetic.
+///
+/// [`QkDpu`]: crate::dpu::QkDpu
 ///
 /// # Panics
 ///
@@ -397,6 +439,37 @@ pub fn simulate_head_reference(workload: &HeadWorkload, config: &TileConfig) -> 
         config,
         0..workload.seq_len(),
     )])
+}
+
+/// The kernel side of a shard simulation: pruning configurations time the
+/// functional table `table` yields for their plan; the unpruned baseline
+/// times its analytic table and never calls the kernel.
+fn simulate_shard_on(
+    workload: &HeadWorkload,
+    config: &TileConfig,
+    rows: Range<usize>,
+    table: impl FnOnce(BitSerialPlan) -> Arc<OutcomeTable>,
+) -> TileShardSim {
+    assert_valid(config);
+    assert!(
+        rows.start <= rows.end && rows.end <= workload.seq_len(),
+        "shard rows {rows:?} outside the workload's {} queries",
+        workload.seq_len()
+    );
+    let plan = config.bit_serial_plan();
+    if config.pruning_enabled {
+        timing_pass(&table(plan), config, rows)
+    } else {
+        let analytic = OutcomeTable::unpruned(plan, rows.clone(), workload.k_codes.len());
+        timing_pass(&analytic, config, rows)
+    }
+}
+
+fn assert_valid(config: &TileConfig) {
+    config
+        .validate()
+        // lint:allow(panic-in-library, reason = "simulation entry points document invalid configurations under # Panics; configs are validated at parse time and invalid ones here are programmer errors")
+        .unwrap_or_else(|e| panic!("invalid tile config: {e}"));
 }
 
 /// Softmax pipeline overhead per surviving score in the back-end (exponent
@@ -477,12 +550,11 @@ impl TileShardSim {
     /// every magnitude bit was revealed, or surviving to the back-end.
     /// The three classes partition `pruned_scores + surviving_scores`.
     pub fn outcome_mix(&self) -> OutcomeMix {
-        let full_precision_pruned = self.pruned_bits_histogram.last().copied().unwrap_or(0);
-        OutcomeMix {
-            early_terminated: self.pruned_scores - full_precision_pruned,
-            full_precision_pruned,
-            surviving: self.surviving_scores,
-        }
+        OutcomeMix::from_counts(
+            self.pruned_scores,
+            self.surviving_scores,
+            &self.pruned_bits_histogram,
+        )
     }
 }
 
@@ -500,6 +572,15 @@ pub struct OutcomeMix {
 }
 
 impl OutcomeMix {
+    fn from_counts(pruned: u64, surviving: u64, pruned_bits_histogram: &[u64]) -> Self {
+        let full_precision_pruned = pruned_bits_histogram.last().copied().unwrap_or(0);
+        Self {
+            early_terminated: pruned - full_precision_pruned,
+            full_precision_pruned,
+            surviving,
+        }
+    }
+
     /// Total scores across the three classes.
     pub fn total(&self) -> u64 {
         self.early_terminated + self.full_precision_pruned + self.surviving
@@ -606,26 +687,45 @@ pub fn merge_shards(shards: &[TileShardSim]) -> HeadSimResult {
     }
 }
 
-/// The shared accounting loop behind every simulation path: feeds each Q
-/// row in `rows` through `row_outcomes` (which fills one
-/// [`DotProductOutcome`] per K column) and turns the outcomes into cycle
-/// timing, event counts, and histograms for that shard. Keeping a single
-/// implementation here is what makes the kernel ≡ reference equivalence a
-/// statement about outcomes only — and the tile ≡ single-tile equivalence
-/// a statement about [`merge_shards`] only.
-fn accumulate_rows(
-    workload: &HeadWorkload,
-    config: &TileConfig,
-    rows: Range<usize>,
-    mut row_outcomes: impl FnMut(&[i32], &mut Vec<DotProductOutcome>),
-) -> TileShardSim {
-    assert!(
-        rows.start <= rows.end && rows.end <= workload.seq_len(),
-        "shard rows {rows:?} outside the workload's {} queries",
-        workload.seq_len()
-    );
+/// The timing pass: turns a functional [`OutcomeTable`] into the cycle
+/// timing, event counts and histograms of the shard `rows` under `config`.
+///
+/// Each row's pair cycles are dealt round-robin over the configuration's
+/// `N_QK` DPUs (pair `j` to DPU `j mod N_QK`, folded in chunks of `N_QK`);
+/// the busiest DPU sets the row's front-end time, and the row's back-end
+/// time is one cycle per surviving score. Counters come from the table's
+/// per-row counts, which do not depend on `N_QK`. The table is read through
+/// [`OutcomeTable::for_mode`], so an early-termination table also serves
+/// the pruning-only and unpruned modes of the same plan.
+///
+/// This is the single accounting loop behind every simulation path: the
+/// kernel ≡ reference equivalence is a statement about tables only, and the
+/// tile ≡ single-tile equivalence a statement about [`merge_shards`] only.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid, its bit-serial plan differs from
+/// the table's, the table cannot stand in for its pruning mode, or `rows`
+/// does not lie within the table's rows.
+pub fn timing_pass(table: &OutcomeTable, config: &TileConfig, rows: Range<usize>) -> TileShardSim {
+    assert_valid(config);
     let plan = config.bit_serial_plan();
+    assert_eq!(
+        table.plan(),
+        plan,
+        "outcomes recorded under a different bit-serial plan"
+    );
+    let covered = table.rows();
+    assert!(
+        covered.start <= rows.start && rows.start <= rows.end && rows.end <= covered.end,
+        "shard rows {rows:?} outside the table's rows {covered:?}"
+    );
+    let table = table.for_mode(PruningMode::of(config));
     let max_bits = plan.magnitude_bits as usize;
+    let cols = table.cols() as u64;
+    // Without per-pair cycles every pair costs the full window, and DPU 0
+    // holds the most pairs: ⌈cols / N_QK⌉.
+    let full_window_frontend = cols.div_ceil(config.n_qk_dpu as u64) * table.total_cycles() as u64;
     let mut shard = TileShardSim {
         rows: rows.clone(),
         frontend_busy_cycles: 0,
@@ -640,32 +740,27 @@ fn accumulate_rows(
         interior_advance_cycles: 0,
     };
 
-    // Row-level buffers, allocated once per shard and reused across rows.
-    let mut dpu_cycles = vec![0u64; config.n_qk_dpu];
-    let mut outcomes: Vec<DotProductOutcome> = Vec::with_capacity(workload.k_codes.len());
+    // Per-DPU cycle lanes, allocated once per shard and reused across rows.
+    let mut lanes = vec![0u32; config.n_qk_dpu];
     let mut prev_backend = 0u64;
 
-    for (offset, q_row) in workload.q_codes[rows].iter().enumerate() {
-        // --- Front-end: distribute the s key columns over the N_QK DPUs.
-        row_outcomes(q_row, &mut outcomes);
-        dpu_cycles.fill(0);
-        let mut row_survivors = 0u64;
-        for (j, outcome) in outcomes.iter().enumerate() {
-            let dpu_idx = j % config.n_qk_dpu;
-            dpu_cycles[dpu_idx] += u64::from(outcome.cycles);
-            shard.events.qk_dpu_cycles += u64::from(outcome.cycles);
-            shard.events.key_buffer_reads += u64::from(outcome.cycles);
-            shard.bits_histogram[outcome.bits_processed as usize] += 1;
-            if outcome.pruned {
-                shard.pruned_scores += 1;
-                shard.pruned_bits_histogram[outcome.bits_processed as usize] += 1;
-            } else {
-                shard.surviving_scores += 1;
-                row_survivors += 1;
-                shard.events.fifo_pushes += 1;
-            }
+    for (offset, row) in rows.enumerate() {
+        // --- Front-end: the row's counts (independent of N_QK), then the
+        // busiest DPU under this configuration's round-robin deal.
+        let (stopped, pruned) = table.row_counts(row);
+        let mut row_pruned = 0u64;
+        for (cycle, (&all, &cut)) in (1u32..).zip(stopped.iter().zip(pruned)) {
+            let bits = plan.bits_after(cycle) as usize;
+            shard.bits_histogram[bits] += u64::from(all);
+            shard.pruned_bits_histogram[bits] += u64::from(cut);
+            shard.events.qk_dpu_cycles += u64::from(cycle) * u64::from(all);
+            row_pruned += u64::from(cut);
         }
-        let row_frontend_cycles = *dpu_cycles.iter().max().expect("at least one DPU"); // lint:allow(panic-in-library, reason = "TileConfig validation guarantees at least one DPU lane")
+        let row_survivors = cols - row_pruned;
+        let row_frontend_cycles = match table.row_pairs(row) {
+            Some(pairs) => busiest_dpu_cycles(pairs, &mut lanes),
+            None => full_window_frontend,
+        };
         let row_backend_cycles = row_survivors * BACKEND_CYCLES_PER_SCORE;
 
         // --- Timing: the front-end of this row overlaps the back-end of
@@ -682,12 +777,30 @@ fn accumulate_rows(
 
         shard.frontend_busy_cycles += row_frontend_cycles;
         shard.backend_busy_cycles += row_backend_cycles;
+        shard.pruned_scores += row_pruned;
+        shard.surviving_scores += row_survivors;
+        shard.events.fifo_pushes += row_survivors;
         shard.events.softmax_ops += row_survivors;
         shard.events.v_mac_ops += row_survivors;
         shard.events.value_buffer_reads += row_survivors;
     }
+    // Each DPU cycle streams one slice of the key buffer.
+    shard.events.key_buffer_reads = shard.events.qk_dpu_cycles;
     shard.last_row_backend_cycles = prev_backend;
     shard
+}
+
+/// Deals one row's pair cycles round-robin over the DPU `lanes` — pair `j`
+/// to lane `j mod lanes.len()`, folded in chunks of one pair per lane — and
+/// returns the busiest lane's cycles.
+fn busiest_dpu_cycles(pairs: &[u8], lanes: &mut [u32]) -> u64 {
+    lanes.fill(0);
+    for chunk in pairs.chunks(lanes.len()) {
+        for (lane, &pair) in lanes.iter_mut().zip(chunk) {
+            *lane += u32::from(pair & CYCLES_MASK);
+        }
+    }
+    lanes.iter().copied().max().map_or(0, u64::from)
 }
 
 #[cfg(test)]
@@ -840,7 +953,7 @@ mod tests {
             k_codes: vec![],
             threshold_int: 0,
             head_dim: 4,
-            plane_cache: PlaneCache::default(),
+            outcome_cache: OutcomeCache::default(),
         };
         let _ = simulate_head(&w, &TileConfig::ae_leopard());
     }
@@ -947,25 +1060,94 @@ mod tests {
     }
 
     #[test]
-    fn packed_keys_are_cached_per_plan() {
+    fn outcome_tables_are_cached_per_plan() {
         let w = workload(8, 16, 0.2, 52);
         let plan = TileConfig::ae_leopard().bit_serial_plan();
-        let first = w.packed_keys_at(plan);
-        let second = w.packed_keys_at(plan);
+        let first = w.outcome_table(plan);
+        let second = w.outcome_table(plan);
         assert!(
             Arc::ptr_eq(&first, &second),
-            "second packed_keys_at call must hit the per-plan cache"
+            "second outcome_table call must hit the per-plan cache"
         );
-        // A different granularity packs (and caches) separately.
-        let other = w.packed_keys_at(
+        // A different granularity runs (and caches) its own functional pass.
+        let other = w.outcome_table(
             TileConfig::ae_leopard()
                 .with_serial_bits(1)
                 .bit_serial_plan(),
         );
         assert!(!Arc::ptr_eq(&first, &other));
-        assert!(Arc::ptr_eq(&other, &w.packed_keys_at(other.plan())));
-        // A cloned workload keeps the cache warm (Arc-shared entries).
-        assert!(Arc::ptr_eq(&first, &w.clone().packed_keys_at(plan)));
+        assert!(Arc::ptr_eq(&other, &w.outcome_table(other.plan())));
+        // A cloned workload keeps the cache warm (Arc-shared entries)...
+        assert!(Arc::ptr_eq(&first, &w.clone().outcome_table(plan)));
+        // ...unless its threshold differs: the table depends on it.
+        let raised = HeadWorkload {
+            threshold_int: w.threshold_int + 1,
+            ..w.clone()
+        };
+        assert!(!Arc::ptr_eq(&first, &raised.outcome_table(plan)));
+    }
+
+    #[test]
+    fn one_table_serves_every_preset_and_no_pack_stays_resident() {
+        // AE, HP, pruning-only and every N_QK point share the (11, 2) plan:
+        // one functional pass, read by every timing pass. The baseline is
+        // analytic and adds nothing. The cache holds outcome tables only —
+        // the kernel's packed operands are dropped after the pass.
+        let w = workload(12, 32, 0.25, 54);
+        let plan = TileConfig::ae_leopard().bit_serial_plan();
+        let table = w.outcome_table(plan);
+        for config in [
+            TileConfig::baseline(),
+            TileConfig::ae_leopard(),
+            TileConfig::hp_leopard(),
+            TileConfig::pruning_only(),
+            TileConfig::ae_leopard().with_n_qk(11),
+        ] {
+            let _ = simulate_head(&w, &config);
+        }
+        let resident: Vec<Arc<OutcomeTable>> = w.outcome_cache.tables();
+        assert_eq!(resident.len(), 1, "one functional pass per (head, plan)");
+        assert!(Arc::ptr_eq(&resident[0], &table));
+        assert_eq!(table.mode(), PruningMode::EarlyTermination);
+        assert_eq!(table.rows(), 0..12);
+        // One byte per pair plus the per-row counts.
+        assert_eq!(table.heap_bytes(), 12 * 12 + 12 * 2 * 6 * 4);
+    }
+
+    #[test]
+    fn timing_pass_over_one_table_matches_reference_for_every_n_qk() {
+        let w = workload(19, 40, 0.3, 55);
+        let table = w.outcome_table(TileConfig::ae_leopard().bit_serial_plan());
+        for n_qk in 1..=12 {
+            for base in [TileConfig::ae_leopard(), TileConfig::pruning_only()] {
+                let config = base.with_n_qk(n_qk);
+                for rows in [0..19, 3..11, 7..7] {
+                    assert_eq!(
+                        timing_pass(&table, &config, rows.clone()),
+                        simulate_head_shard_reference(&w, &config, rows.clone()),
+                        "{} n_qk={n_qk} rows={rows:?}",
+                        config.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot stand in for EarlyTermination")]
+    fn pruning_only_outcomes_cannot_stand_in_for_early_termination() {
+        let w = workload(6, 16, 0.3, 56);
+        let config = TileConfig::pruning_only();
+        let table = OutcomeTable::from_reference(&w, &config, 0..6);
+        let _ = timing_pass(&table, &TileConfig::ae_leopard(), 0..6);
+    }
+
+    #[test]
+    #[should_panic(expected = "different bit-serial plan")]
+    fn timing_pass_rejects_a_table_of_another_plan() {
+        let w = workload(6, 16, 0.3, 57);
+        let table = w.outcome_table(TileConfig::ae_leopard().bit_serial_plan());
+        let _ = timing_pass(&table, &TileConfig::ae_leopard().with_serial_bits(4), 0..6);
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //!   counts exceeding it.
 //! * **Merge semantics** — per-tile cycles merge as `max` (the makespan),
 //!   counters and histograms as sums; empty shards are identities.
+//! * **Functional/timing split** — one cached functional-pass table per
+//!   `(head, plan)`, fed through the timing pass for every `N_QK`, preset
+//!   and shard split, reproduces the scalar reference shard by shard and,
+//!   merged, head by head; the cache is never refilled.
 //!
 //! The property tests use `ProptestConfig::default()`, so CI's
 //! `PROPTEST_CASES`-bumped job widens their coverage without code changes.
@@ -17,10 +21,11 @@
 use leopard_accel::config::TileConfig;
 use leopard_accel::schedule::{merge_head_shards, simulate_head_tiled, TilePartition};
 use leopard_accel::sim::{
-    simulate_head, simulate_head_reference, simulate_head_shard, simulate_head_shard_reference,
-    HeadWorkload,
+    merge_shards, simulate_head, simulate_head_reference, simulate_head_shard,
+    simulate_head_shard_reference, timing_pass, HeadWorkload,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The four studied tile configurations, in `SimUnitKind` order.
 fn presets() -> [TileConfig; 4] {
@@ -107,6 +112,56 @@ proptest! {
                 simulate_head_shard_reference(&workload, &config, rows)
             );
         }
+    }
+}
+
+proptest! {
+    /// The split's conformance property: for a bit-serial granularity `B`,
+    /// the workload's one cached outcome table, timed for every preset and
+    /// every `N_QK` in 1..=12 over a random contiguous shard split, equals
+    /// the scalar reference shard for shard, and the merged shards equal
+    /// the reference head. All four presets share the table (the baseline
+    /// reads it as analytic), and no design point re-runs the kernel.
+    #[test]
+    fn prop_one_table_times_every_design_point_like_the_reference(
+        pairs in proptest::collection::vec((-2046i32..=2046, -2046i32..=2046), 1..24),
+        threshold in -150_000i64..150_000,
+        granularity in 0usize..4,
+        cuts in proptest::collection::vec(0u64..=1_000, 0..4),
+    ) {
+        let workload = workload_from_pairs(&pairs, threshold, 6);
+        let s = workload.seq_len();
+        let serial_bits = [1u32, 2, 4, 12][granularity];
+        let plan = TileConfig::ae_leopard().with_serial_bits(serial_bits).bit_serial_plan();
+        let table = workload.outcome_table(plan);
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c as usize * s / 1_001).collect();
+        bounds.push(0);
+        bounds.push(s);
+        bounds.sort_unstable();
+        let ranges: Vec<_> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+        for preset in presets() {
+            for n_qk in 1..=12 {
+                let config = preset.with_serial_bits(serial_bits).with_n_qk(n_qk);
+                let shards: Vec<_> = ranges
+                    .iter()
+                    .map(|rows| timing_pass(&table, &config, rows.clone()))
+                    .collect();
+                for (shard, rows) in shards.iter().zip(&ranges) {
+                    prop_assert_eq!(
+                        shard,
+                        &simulate_head_shard_reference(&workload, &config, rows.clone()),
+                        "{} B={} n_qk={} rows={:?}", config.name, serial_bits, n_qk, rows
+                    );
+                }
+                prop_assert_eq!(
+                    merge_shards(&shards),
+                    simulate_head_reference(&workload, &config)
+                );
+            }
+        }
+        let resident = workload.outcome_cache.tables();
+        prop_assert_eq!(resident.len(), 1);
+        prop_assert!(Arc::ptr_eq(&resident[0], &table));
     }
 }
 

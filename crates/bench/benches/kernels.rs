@@ -86,7 +86,7 @@ fn row_batched_kernel(c: &mut Criterion) {
             ("portable", KernelPath::Portable),
         ] {
             group.bench_function(&format!("soa_kernel_v2_{path_label}/{label}"), |b| {
-                let v2 = QkKernelV2::with_path(ae, path);
+                let v2 = QkKernelV2::with_path(plan, path);
                 let mut scratch = RowScratchV2::new();
                 let mut out = Vec::new();
                 b.iter(|| {

@@ -258,16 +258,19 @@ mod tests {
         assert_eq!(cached.q_codes, direct.q_codes);
         assert_eq!(cached.k_codes, direct.k_codes);
         assert_eq!(cached.threshold_int, direct.threshold_int);
-        // The packed K operands ride along in the cached workload: a second
-        // lookup of the same head reuses the pack the first one built, so the
-        // four simulation units of a head (and every sweep design point that
-        // shares the operands) never rebuild it.
+        // The functional pass rides along in the cached workload: a second
+        // lookup of the same head reuses the outcome table the first one
+        // built, so the four simulation units of a head (and every sweep
+        // design point that shares the operands) run the kernel once.
         let plan = leopard_accel::TileConfig::ae_leopard().bit_serial_plan();
         let again = cache.head_workload(&suite[2], &options(), 0);
-        assert!(Arc::ptr_eq(
-            &cached.packed_keys_at(plan),
-            &again.packed_keys_at(plan)
-        ));
+        let table = cached.outcome_table(plan);
+        assert!(Arc::ptr_eq(&table, &again.outcome_table(plan)));
+        let _ = leopard_accel::simulate_head(&again, &leopard_accel::TileConfig::hp_leopard());
+        // No packed operands stay resident: the cache holds that one table.
+        let resident = again.outcome_cache.tables();
+        assert_eq!(resident.len(), 1);
+        assert!(Arc::ptr_eq(&resident[0], &table));
     }
 
     #[test]

@@ -3,17 +3,23 @@
 //! A suite run decomposes into a DAG of jobs per task:
 //!
 //! ```text
-//! task ──▶ build(head 0) ──▶ sim(head 0, Baseline) ──┐
-//!      │                 ──▶ sim(head 0, AE)       ──┤
-//!      │                 ──▶ sim(head 0, HP)       ──┼──▶ aggregate(task) ──▶ result
-//!      │                 ──▶ sim(head 0, PruneOnly)──┤
-//!      └──▶ build(head 1) ──▶ ...                  ──┘
+//! task ──▶ build+functional(head 0) ──▶ timing(head 0, Baseline) ──┐
+//!      │                            ──▶ timing(head 0, AE)       ──┤
+//!      │                            ──▶ timing(head 0, HP)       ──┼──▶ aggregate(task)
+//!      │                            ──▶ timing(head 0, PruneOnly)──┤
+//!      └──▶ build+functional(head 1) ──▶ ...                     ──┘
 //! ```
 //!
 //! Build jobs construct (or fetch from the [`WorkloadCache`]) the quantized
-//! head workload and then spawn the per-configuration simulation units onto
-//! the worker's local queue. Each unit fans out one level further, following
-//! the task's **layer plan**
+//! head workload, then run the simulator's **functional pass** for it
+//! ([`run_functional_pass`]): one kernel sweep per head and bit-serial plan,
+//! cached on the workload and charged to the simulate stage. The pass
+//! depends only on the build and precedes every shard, so it runs at the
+//! tail of the build job rather than as a job of its own. The build job
+//! then spawns the per-configuration simulation units onto the worker's
+//! local queue; each is **timing-only** (the baseline is analytic, the
+//! other three read the head's table). Each unit fans out one level
+//! further, following the task's **layer plan**
 //! ([`plan_task_layer`]): the
 //! placement policy assigns every head a tile split (whole heads while
 //! `heads >= tiles`, load-predicted splits when tiles would idle), and a
@@ -42,8 +48,8 @@ use leopard_accel::config::TileConfig;
 use leopard_accel::schedule::{merge_head_shards, simulate_head_tiled, LayerPlan, TilePartition};
 use leopard_accel::sim::TileShardSim;
 use leopard_workloads::pipeline::{
-    aggregate_task, plan_task_layer, predict_task_cycles, simulate_unit_shard, HeadUnitResults,
-    PipelineOptions, SimUnitKind, TaskResult,
+    aggregate_task, plan_task_layer, predict_task_cycles, run_functional_pass, simulate_unit_shard,
+    HeadUnitResults, PipelineOptions, SimUnitKind, TaskResult,
 };
 use leopard_workloads::suite::TaskDescriptor;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -57,7 +63,8 @@ use std::time::{Duration, Instant};
 pub struct StageTotals {
     /// Time spent constructing workloads (cache misses only).
     pub build: Duration,
-    /// Time spent in the cycle-level simulator.
+    /// Time spent in the cycle-level simulator (functional passes plus
+    /// timing-only shards).
     pub simulate: Duration,
     /// Time spent aggregating unit results into task results.
     pub aggregate: Duration,
@@ -373,6 +380,22 @@ impl SuiteRunner {
                 t.metrics().incr("suite.jobs.build", 1);
             }
 
+            // Functional pass: the head's kernel sweep, once, before any
+            // shard; every shard job below is then timing-only.
+            // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds stage timing for the report footer and telemetry spans; simulated cycle results never read it")
+            let functional_start = Instant::now();
+            run_functional_pass(&workload);
+            StageClocks::charge(&clocks.simulate_ns, functional_start);
+            if let Some(t) = &telemetry {
+                t.record_wall_span(
+                    "functional",
+                    state.task.name.clone(),
+                    functional_start,
+                    vec![("task", state.task.id as u64), ("head", head as u64)],
+                );
+                t.metrics().incr("suite.jobs.functional", 1);
+            }
+
             // Sub-DAG fan-out: one shard job per (unit kind, planned
             // shard). The plan — and with it the partition — is a pure
             // function of `(task, options)`, so every thread count spawns
@@ -678,6 +701,7 @@ mod tests {
         assert_eq!(plain.jobs, traced.jobs);
         let metrics = traced.metrics.expect("telemetry enabled");
         assert_eq!(metrics.counter("suite.jobs.build"), Some(3));
+        assert_eq!(metrics.counter("suite.jobs.functional"), Some(3));
         assert_eq!(metrics.counter("suite.jobs.sim"), Some(3 * 4 * 2));
         assert_eq!(metrics.counter("suite.jobs.aggregate"), Some(3));
         let outcomes = metrics.counter("kernel.outcomes.early_terminated").unwrap()
@@ -686,9 +710,10 @@ mod tests {
                 .unwrap()
             + metrics.counter("kernel.outcomes.surviving").unwrap();
         assert!(outcomes > 0, "outcome mix populated");
-        // One wall span per job.
+        // One wall span per job, plus one functional span per head inside
+        // its build job.
         let telemetry = runner.telemetry().expect("enabled");
-        assert_eq!(telemetry.event_count(), traced.jobs);
+        assert_eq!(telemetry.event_count(), traced.jobs + 3);
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl TracePhase {
 /// One recorded trace event (span, instant, or counter sample).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Category: the span taxonomy (`build`, `sim`, `aggregate`,
+    /// Category: the span taxonomy (`build`, `functional`, `sim`, `aggregate`,
     /// `execute`, `dispatch`, `shed`, `serve`).
     pub cat: &'static str,
     /// Event name (typically the task name, or the counter name).

@@ -17,6 +17,12 @@
 //!    wall-clock quantity, so interleaving differences cannot leak into
 //!    the file.
 //!
+//! 4. **Kernel metrics are the units' outcomes** — the suite's
+//!    `kernel.outcomes.*` counters and `kernel.bits_processed` histogram
+//!    equal the sums over the serial decomposition's per-unit results, and
+//!    each head's functional pass shows up as one `functional` span and one
+//!    `suite.jobs.functional` count.
+//!
 //! Regenerate the fixture after an intentional format change:
 //!
 //! ```text
@@ -28,7 +34,9 @@ use leopard_runtime::report::{
     serving_report_json, serving_requests_csv, suite_report_json, task_results_csv,
 };
 use leopard_runtime::serving::{run_serving, ServingOptions, ServingReport};
-use leopard_workloads::pipeline::PipelineOptions;
+use leopard_workloads::pipeline::{
+    build_head_workload, run_task, HeadUnitResults, PipelineOptions,
+};
 use leopard_workloads::suite::{full_suite, TaskDescriptor};
 use std::path::PathBuf;
 
@@ -242,4 +250,71 @@ fn serve_metrics_snapshot_is_consistent_with_the_report() {
     let json = metrics.to_json();
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert!(json.contains("\"serve.latency_cycles\""));
+}
+
+#[test]
+fn suite_kernel_metrics_equal_the_serial_units_outcomes() {
+    let tasks: Vec<TaskDescriptor> = full_suite().into_iter().step_by(11).collect();
+    let options = PipelineOptions {
+        heads: 2,
+        tiles: 3,
+        ..pinned_pipeline()
+    };
+    let runner = SuiteRunner::new(2).with_telemetry();
+    let report = runner.run(&tasks, &options);
+    let metrics = report.metrics.as_ref().expect("metrics snapshot");
+
+    // Oracle: the decomposition `run_task` executes serially — every head
+    // built, all four units simulated whole — summed unit by unit.
+    let (mut early, mut full, mut surviving) = (0u64, 0u64, 0u64);
+    let mut bits: Vec<u64> = Vec::new();
+    for (task, result) in tasks.iter().zip(&report.results) {
+        assert_eq!(&run_task(task, &options), result);
+        for head in 0..options.heads {
+            let units = HeadUnitResults::compute(&build_head_workload(task, &options, head));
+            for unit in [&units.baseline, &units.ae, &units.hp, &units.pruning_only] {
+                let mix = unit.outcome_mix();
+                early += mix.early_terminated;
+                full += mix.full_precision_pruned;
+                surviving += mix.surviving;
+                bits.resize(bits.len().max(unit.bits_histogram.len()), 0);
+                for (slot, &count) in bits.iter_mut().zip(&unit.bits_histogram) {
+                    *slot += count;
+                }
+            }
+        }
+    }
+    assert!(
+        early > 0 && full > 0 && surviving > 0,
+        "every class populated"
+    );
+    assert_eq!(
+        metrics.counter("kernel.outcomes.early_terminated"),
+        Some(early)
+    );
+    assert_eq!(
+        metrics.counter("kernel.outcomes.full_precision_pruned"),
+        Some(full)
+    );
+    assert_eq!(
+        metrics.counter("kernel.outcomes.surviving"),
+        Some(surviving)
+    );
+    let histogram = metrics
+        .histogram("kernel.bits_processed")
+        .expect("bits histogram");
+    assert_eq!(&histogram.counts[..bits.len()], &bits[..]);
+    assert_eq!(histogram.total, bits.iter().sum::<u64>());
+
+    // One functional pass per head: a counter and a wall span each.
+    let heads = (tasks.len() * options.heads) as u64;
+    assert_eq!(metrics.counter("suite.jobs.functional"), Some(heads));
+    let trace = runner
+        .telemetry()
+        .expect("telemetry enabled")
+        .chrome_trace_json();
+    assert_eq!(
+        trace.matches("\"cat\": \"functional\"").count() as u64,
+        heads
+    );
 }

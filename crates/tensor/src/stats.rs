@@ -50,6 +50,11 @@ pub fn geometric_mean(values: &[f32]) -> f32 {
 /// Returns 0.0 for an empty slice. Values are ranked by [`f32::total_cmp`],
 /// so the result is deterministic for any input order, NaNs included.
 ///
+/// Runs in expected linear time: a selection places the lower order
+/// statistic, and the upper one is the minimum of the partition above it.
+/// Both are the elements a full sort would put at those ranks, so the
+/// result is bit-identical to interpolating over a sorted copy.
+///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 100]`.
@@ -58,19 +63,25 @@ pub fn percentile(values: &[f32], p: f32) -> f32 {
     if values.is_empty() {
         return 0.0;
     }
-    let mut sorted: Vec<f32> = values.to_vec();
-    // A total order makes the result independent of input order even with
-    // NaNs present (they sort to the ends by sign bit).
-    sorted.sort_unstable_by(f32::total_cmp);
-    let rank = p / 100.0 * (sorted.len() - 1) as f32;
+    let mut ranked: Vec<f32> = values.to_vec();
+    let rank = p / 100.0 * (ranked.len() - 1) as f32;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
+    // A total order makes the result independent of input order even with
+    // NaNs present (they rank at the ends by sign bit).
+    let (_, &mut low, above) = ranked.select_nth_unstable_by(lo, f32::total_cmp);
     if lo == hi {
-        sorted[lo]
-    } else {
-        let w = rank - lo as f32;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
+        return low;
     }
+    // `hi == lo + 1`: the smallest element of the upper partition.
+    let high = above
+        .iter()
+        .copied()
+        .min_by(f32::total_cmp)
+        // lint:allow(panic-in-library, reason = "hi = lo + 1 <= len - 1, so the partition above rank lo holds at least one element")
+        .expect("rank lo + 1 exists");
+    let w = rank - lo as f32;
+    low * (1.0 - w) + high * w
 }
 
 /// A fixed-width histogram over a closed interval, used to inspect attention
@@ -276,6 +287,66 @@ mod tests {
                     .map(|&p| percentile(&candidate, p).to_bits())
                     .collect();
                 assert_eq!(got, expected, "rotation {rotation}: {candidate:?}");
+            }
+        }
+    }
+
+    /// The sort-based definition `percentile` must reproduce bit for bit.
+    fn sorted_percentile(values: &[f32], p: f32) -> f32 {
+        if values.is_empty() {
+            return 0.0;
+        }
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f32::total_cmp);
+        let rank = p / 100.0 * (sorted.len() - 1) as f32;
+        let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let w = rank - lo as f32;
+            sorted[lo] * (1.0 - w) + sorted[hi] * w
+        }
+    }
+
+    #[test]
+    fn percentile_selection_matches_the_sort_oracle_bit_for_bit() {
+        use rand::Rng;
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.5,
+            1.5,
+            -2.25,
+        ];
+        let percentiles = [0.0f32, 0.5, 10.0, 33.3, 50.0, 75.0, 99.9, 100.0];
+        let mut r = crate::rng::seeded(17);
+        let mut cases: Vec<Vec<f32>> = vec![vec![0.75], vec![-0.0, 0.0], vec![0.0, -0.0]];
+        cases.push(specials.to_vec());
+        for len in [1usize, 2, 3, 7, 64, 257] {
+            for _ in 0..8 {
+                cases.push(
+                    (0..len)
+                        .map(|_| match r.gen_range(0..10) {
+                            0 => specials[r.gen_range(0..specials.len())],
+                            // Duplicates from a small value pool.
+                            1..=3 => r.gen_range(-3..=3) as f32 * 0.5,
+                            _ => r.gen_range(-1000.0f32..1000.0),
+                        })
+                        .collect(),
+                );
+            }
+        }
+        for values in &cases {
+            for &p in &percentiles {
+                assert_eq!(
+                    percentile(values, p).to_bits(),
+                    sorted_percentile(values, p).to_bits(),
+                    "p={p} over {values:?}"
+                );
             }
         }
     }

@@ -361,11 +361,11 @@ pub fn plan_task_layer_at_rate(
 /// pruning-rate quantile, quantize. This is the (memoizable) construction
 /// stage of the pipeline; it is a pure function of `(task, options, head)`.
 ///
-/// The returned workload caches the batched kernel's packed K operands
-/// (`HeadWorkload::packed_keys_at`) **once per bit-serial plan**: the four
+/// The returned workload caches the simulator's functional pass
+/// (`HeadWorkload::outcome_table`) **once per bit-serial plan**: the four
 /// simulation units of [`SimUnitKind::ALL`] — and, through the runtime
-/// cache, every sweep design point sharing the operands — reuse them
-/// instead of re-packing K per unit.
+/// cache, every sweep design point sharing the operands — reuse one kernel
+/// sweep and differ only in their timing pass.
 pub fn build_head_workload(
     task: &TaskDescriptor,
     options: &PipelineOptions,
@@ -381,6 +381,21 @@ pub fn build_head_workload(
     );
     let threshold = threshold_for_rate(&q, &k, task.paper_pruning_rate);
     HeadWorkload::from_float(&q, &k, threshold, options.qk_bits)
+}
+
+/// Runs the functional pass every simulation unit of a head needs: one
+/// kernel sweep per distinct bit-serial plan among the pruning units of
+/// [`SimUnitKind::ALL`] (AE, HP and pruning-only share one), cached on the
+/// workload. The unpruned baseline is analytic and needs none. Afterwards
+/// every [`simulate_unit`] / [`simulate_unit_shard`] of the head is
+/// timing-only.
+pub fn run_functional_pass(workload: &HeadWorkload) {
+    for kind in SimUnitKind::ALL {
+        let config = kind.tile_config();
+        if config.pruning_enabled {
+            let _ = workload.outcome_table(config.bit_serial_plan());
+        }
+    }
 }
 
 /// Runs one simulation unit: one head workload on one tile configuration.
@@ -760,35 +775,30 @@ mod tests {
     }
 
     #[test]
-    fn packed_keys_are_shared_across_simulation_units() {
-        // The kernel-v2 pack is keyed by (magnitude width, bits per cycle),
-        // and the three bit-serial presets share the (11, 2) plan — so one
-        // head workload packs its keys once and every unit reuses the same
-        // Arc. The baseline preset collapses to a one-cycle plan and packs
-        // separately, but still hits its own cache on re-simulation.
+    fn one_functional_pass_serves_every_simulation_unit() {
+        // The three bit-serial presets share the (11, 2) plan, so one head
+        // workload runs the kernel once and every unit times the same Arc'd
+        // table. The baseline is analytic and caches nothing.
         let suite = full_suite();
         let workload = build_head_workload(&suite[0], &quick_options(), 0);
-        let shared: Vec<_> = [
+        run_functional_pass(&workload);
+        let mut resident = workload.outcome_cache.tables();
+        assert_eq!(resident.len(), 1, "one table per (head, plan)");
+        let table = resident.remove(0);
+        let _ = HeadUnitResults::compute(&workload);
+        let resident = workload.outcome_cache.tables();
+        assert_eq!(resident.len(), 1, "units must not add tables");
+        assert!(std::sync::Arc::ptr_eq(&resident[0], &table));
+        for kind in [
             SimUnitKind::AeLeopard,
             SimUnitKind::HpLeopard,
             SimUnitKind::PruningOnly,
-        ]
-        .iter()
-        .map(|kind| workload.packed_keys_at(kind.tile_config().bit_serial_plan()))
-        .collect();
-        for packed in &shared[1..] {
-            assert!(
-                std::sync::Arc::ptr_eq(&shared[0], packed),
-                "bit-serial presets share one (width, granularity) pack"
-            );
+        ] {
+            assert!(std::sync::Arc::ptr_eq(
+                &table,
+                &workload.outcome_table(kind.tile_config().bit_serial_plan())
+            ));
         }
-        let baseline_plan = SimUnitKind::Baseline.tile_config().bit_serial_plan();
-        let baseline = workload.packed_keys_at(baseline_plan);
-        assert!(!std::sync::Arc::ptr_eq(&shared[0], &baseline));
-        assert!(std::sync::Arc::ptr_eq(
-            &baseline,
-            &workload.packed_keys_at(baseline_plan)
-        ));
     }
 
     #[test]

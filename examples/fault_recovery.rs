@@ -51,6 +51,10 @@ const RETRY_MAX: u32 = 5;
 const BACKOFF_BASE_CYCLES: u64 = 48;
 /// Goodput-recovery floor the example enforces before recording anything.
 const MIN_RECOVERY: f64 = 2.0;
+/// What `BENCH_fault_recovery.json` records: goodput on the serving
+/// replay's virtual clock, not how fast this code runs.
+const MEASURES: &str =
+    "virtual-clock model output (simulated serving goodput), not host code speed";
 
 fn scenario_suite() -> Vec<TaskDescriptor> {
     // The first eight suite tasks at a short sequence cap: the same slice
@@ -189,7 +193,7 @@ fn main() {
         )
     };
     let json = format!(
-        "{{\n  \"config\": {{\n    \"requests\": {REQUESTS},\n    \"servers\": {SERVERS},\n    \
+        "{{\n  \"measures\": \"{MEASURES}\",\n  \"config\": {{\n    \"requests\": {REQUESTS},\n    \"servers\": {SERVERS},\n    \
          \"rate_rps\": {RATE_RPS},\n    \"slo_cycles\": {SLO_CYCLES},\n    \"retry_max\": \
          {RETRY_MAX},\n    \"backoff_base_cycles\": {BACKOFF_BASE_CYCLES},\n    \"plan\": \
          \"examples/fault_plan.json\",\n    \"plan_seed\": {},\n    \"fail_rate\": {}\n  }},\n  \

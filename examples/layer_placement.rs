@@ -31,6 +31,10 @@ const QK_BITS: u32 = 12;
 const PRUNING_TARGET: f32 = 0.7;
 const SEED: u64 = 0x1A7E5;
 const TILES: usize = 4;
+/// What `BENCH_layer_sched.json` records: the accelerator model's
+/// simulated cycles, not how fast this code runs.
+const MEASURES: &str =
+    "virtual-cycle model output (simulated accelerator cycles), not host code speed";
 
 fn main() {
     let mut config = TileConfig::ae_leopard();
@@ -125,7 +129,7 @@ fn main() {
     println!("\nlpt vs rr makespan speedup: {speedup:.3}x");
 
     let json = format!(
-        "{{\n  \"config\": {{\n    \"head_lens\": {:?},\n    \"head_dim\": {D},\n    \"tile\": \
+        "{{\n  \"measures\": \"{MEASURES}\",\n  \"config\": {{\n    \"head_lens\": {:?},\n    \"head_dim\": {D},\n    \"tile\": \
          \"{}\",\n    \"tiles\": {TILES},\n    \"qk_bits\": {QK_BITS},\n    \"pruning_target\": \
          {PRUNING_TARGET},\n    \"seed\": {SEED}\n  }},\n  \"policies\": [\n{rows}  ],\n  \
          \"lpt_vs_rr\": {{\n    \"rr_makespan_cycles\": {},\n    \"lpt_makespan_cycles\": {},\n    \

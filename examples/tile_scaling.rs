@@ -30,6 +30,10 @@ const QK_BITS: u32 = 12;
 const PRUNING_TARGET: f32 = 0.7;
 const SEED: u64 = 42;
 const TILE_COUNTS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
+/// What `BENCH_tiles.json` records: the accelerator model's simulated
+/// cycles, not how fast this code runs.
+const MEASURES: &str =
+    "virtual-cycle model output (simulated accelerator cycles), not host code speed";
 
 fn main() {
     let config = TileConfig::ae_leopard();
@@ -76,7 +80,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"config\": {{\n    \"seq_len\": {S},\n    \"head_dim\": {D},\n    \"tile\": \
+        "{{\n  \"measures\": \"{MEASURES}\",\n  \"config\": {{\n    \"seq_len\": {S},\n    \"head_dim\": {D},\n    \"tile\": \
          \"{}\",\n    \"qk_bits\": {QK_BITS},\n    \"pruning_target\": {PRUNING_TARGET},\n    \
          \"seed\": {SEED}\n  }},\n  \"single_tile_cycles\": {},\n  \"scaling\": [\n{rows}  ]\n}}\n",
         config.name, reference.total_cycles
