@@ -144,16 +144,27 @@ impl Tape {
         )
     }
 
-    /// Element-wise GELU (tanh approximation). The pullback uses the exact
-    /// derivative of the approximation.
+    /// Element-wise GELU (tanh approximation), bit-identical to
+    /// [`ops::gelu`]. The forward pass keeps its `tanh`, and the pullback
+    /// uses it in the exact derivative of the approximation.
     pub fn gelu(&self, a: Var) -> Var {
-        let a_val = self.value(a);
-        let value = a_val.map(ops::gelu);
+        let x = self.value(a);
+        let t = x.map(ops::gelu_inner_tanh);
+        let mut value = x.clone();
+        for (v, &t) in value.iter_mut().zip(t.iter()) {
+            *v = 0.5 * *v * (1.0 + t);
+        }
         self.push_op(
             value,
             vec![(
                 a.id,
-                Box::new(move |up: &Matrix| up.hadamard(&a_val.map(gelu_derivative))),
+                Box::new(move |up: &Matrix| {
+                    let mut grad = up.clone();
+                    for ((g, &x), &t) in grad.iter_mut().zip(x.iter()).zip(t.iter()) {
+                        *g *= gelu_derivative_from_tanh(x, t);
+                    }
+                    grad
+                }),
             )],
         )
     }
@@ -397,7 +408,16 @@ impl Tape {
     }
 }
 
-/// Derivative of the tanh-approximated GELU.
+/// `gelu_derivative` given the forward pass's `t = ops::gelu_inner_tanh(x)`.
+fn gelu_derivative_from_tanh(x: f32, t: f32) -> f32 {
+    let k = (2.0 / std::f32::consts::PI).sqrt();
+    let d_inner = k * (1.0 + 3.0 * 0.044_715 * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+}
+
+/// Derivative of the tanh-approximated GELU: the closed form the pullback
+/// is tested against.
+#[cfg(test)]
 fn gelu_derivative(x: f32) -> f32 {
     let k = (2.0 / std::f32::consts::PI).sqrt();
     let inner = k * (x + 0.044_715 * x * x * x);
@@ -470,6 +490,51 @@ mod tests {
             });
             assert!(err < 2e-2, "{name} grad error {err}");
         }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn gelu_matches_closed_forms_bit_for_bit() {
+        // ±0, a subnormal, the linear and curved regions, the saturated
+        // tanh region, a cube that overflows, and ±inf.
+        let probes = [
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+            0.5,
+            -0.5,
+            1.7,
+            -2.3,
+            4.0,
+            -4.0,
+            9.5,
+            -9.5,
+            40.0,
+            -40.0,
+            1e20,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        // Plus a sweep through the curved region, where rounding differs most.
+        let sweep = (0..512).map(|i| -8.0 + 0.031 * i as f32);
+        let x = Matrix::row_vector(&probes.into_iter().chain(sweep).collect::<Vec<_>>());
+        let up = x.map(|x| 0.25 - 0.125 * x.clamp(-4.0, 4.0));
+        let tape = Tape::new();
+        let xv = tape.leaf(x.clone());
+        let y = tape.gelu(xv);
+        let weighted = tape.hadamard(y, tape.constant(up.clone()));
+        tape.backward(tape.sum(weighted));
+        assert_eq!(bits(&tape.value(y)), bits(&x.map(ops::gelu)));
+        let expected: Vec<u32> = up
+            .iter()
+            .zip(x.iter())
+            .map(|(&u, &x)| (u * gelu_derivative(x)).to_bits())
+            .collect();
+        assert_eq!(bits(&tape.grad(xv)), expected);
     }
 
     #[test]

@@ -18,13 +18,35 @@ pub struct Var {
 /// contribution for one of its parents.
 pub(crate) type Pullback = Box<dyn Fn(&Matrix) -> Matrix>;
 
+/// What a node is, which decides what [`Tape::backward`] keeps for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A trainable parameter: its gradient is kept after `backward`.
+    Leaf,
+    /// An input or label: it never receives a gradient.
+    Constant,
+    /// An operation's output: its gradient is consumed by its pullbacks.
+    Op,
+}
+
 struct Node {
     value: Matrix,
-    /// `(parent id, pullback)` pairs. Leaves and constants have none.
+    /// `(parent id, pullback)` pairs, only for parents that lead back to a
+    /// leaf. Leaves and constants have none, and so has an op computed from
+    /// constants alone.
     parents: Vec<(usize, Pullback)>,
-    /// Whether [`Tape::backward`] should accumulate a gradient for this node.
-    /// Constants skip gradient allocation entirely.
-    requires_grad: bool,
+    kind: Kind,
+}
+
+impl Node {
+    /// Whether a gradient flowing into this node can reach a leaf.
+    fn requires_grad(&self) -> bool {
+        match self.kind {
+            Kind::Leaf => true,
+            Kind::Constant => false,
+            Kind::Op => !self.parents.is_empty(),
+        }
+    }
 }
 
 /// A reverse-mode automatic differentiation tape.
@@ -73,7 +95,7 @@ impl Tape {
         self.push(Node {
             value,
             parents: Vec::new(),
-            requires_grad: true,
+            kind: Kind::Leaf,
         })
     }
 
@@ -82,7 +104,7 @@ impl Tape {
         self.push(Node {
             value,
             parents: Vec::new(),
-            requires_grad: false,
+            kind: Kind::Constant,
         })
     }
 
@@ -96,22 +118,31 @@ impl Tape {
         self.nodes.borrow()[var.id].value.shape()
     }
 
-    /// Returns the gradient accumulated at `var`.
+    /// Returns the gradient accumulated at `var`, a [`Tape::leaf`] or a
+    /// [`Tape::constant`].
+    ///
+    /// A leaf the loss does not depend on, and every constant, has an
+    /// all-zeros gradient. [`Tape::backward`] consumes the gradients of
+    /// operation outputs as it goes, so those are not available.
     ///
     /// # Panics
     ///
-    /// Panics if [`Tape::backward`] has not been called, or if `var` is a
-    /// constant/unreachable node that received no gradient (its gradient is
-    /// defined as all-zeros and is still returned, so the only panic source
-    /// is calling this before `backward`).
+    /// Panics if [`Tape::backward`] has not been called, or if `var` is the
+    /// output of an operation (an interior node).
     pub fn grad(&self, var: Var) -> Matrix {
         let grads = self.grads.borrow();
         assert!(!grads.is_empty(), "Tape::grad called before Tape::backward");
+        let nodes = self.nodes.borrow();
+        let node = &nodes[var.id];
+        assert!(
+            node.kind != Kind::Op,
+            "Tape::grad called on an interior node: only leaves and constants keep gradients"
+        );
         match &grads[var.id] {
             Some(g) => g.clone(),
             None => {
-                let shape = self.shape(var);
-                Matrix::zeros(shape.0, shape.1)
+                let (rows, cols) = node.value.shape();
+                Matrix::zeros(rows, cols)
             }
         }
     }
@@ -129,11 +160,7 @@ impl Tape {
         value: Matrix,
         pullback: impl Fn(&Matrix) -> Matrix + 'static,
     ) -> Var {
-        self.push(Node {
-            value,
-            parents: vec![(input.id, Box::new(pullback))],
-            requires_grad: true,
-        })
+        self.push_op(value, vec![(input.id, Box::new(pullback))])
     }
 
     /// Records a custom differentiable binary operation with one pullback per
@@ -146,15 +173,19 @@ impl Tape {
         pullback_a: impl Fn(&Matrix) -> Matrix + 'static,
         pullback_b: impl Fn(&Matrix) -> Matrix + 'static,
     ) -> Var {
-        self.push(Node {
+        self.push_op(
             value,
-            parents: vec![(a.id, Box::new(pullback_a)), (b.id, Box::new(pullback_b))],
-            requires_grad: true,
-        })
+            vec![(a.id, Box::new(pullback_a)), (b.id, Box::new(pullback_b))],
+        )
     }
 
     /// Runs reverse-mode accumulation from `output`, which must be a `1 x 1`
     /// scalar (a loss).
+    ///
+    /// Each operation output's gradient is moved into its pullbacks, so only
+    /// the leaves' gradients remain for [`Tape::grad`]. Pullbacks into
+    /// constants, and into ops computed from constants alone, were never
+    /// recorded and do not run.
     ///
     /// # Panics
     ///
@@ -170,23 +201,19 @@ impl Tape {
         grads[output.id] = Some(Matrix::ones(1, 1));
 
         for id in (0..=output.id).rev() {
-            let Some(upstream) = grads[id].clone() else {
+            let node = &nodes[id];
+            if node.kind != Kind::Op {
+                continue;
+            }
+            let Some(upstream) = grads[id].take() else {
                 continue;
             };
-            for (parent_id, pullback) in &nodes[id].parents {
+            for (parent_id, pullback) in &node.parents {
                 let contribution = pullback(&upstream);
                 match &mut grads[*parent_id] {
                     Some(existing) => *existing += &contribution,
                     slot @ None => *slot = Some(contribution),
                 }
-            }
-        }
-
-        // Drop gradients of constants to keep memory proportional to the
-        // number of parameters rather than the number of activations.
-        for (id, node) in nodes.iter().enumerate() {
-            if !node.requires_grad {
-                grads[id] = None;
             }
         }
         *self.grads.borrow_mut() = grads;
@@ -204,11 +231,17 @@ impl Tape {
         f(&self.nodes.borrow()[var.id].value)
     }
 
-    pub(crate) fn push_op(&self, value: Matrix, parents: Vec<(usize, Pullback)>) -> Var {
+    /// Records an operation's output. Pullbacks into parents that cannot
+    /// reach a leaf are dropped here, so `backward` never runs them.
+    pub(crate) fn push_op(&self, value: Matrix, mut parents: Vec<(usize, Pullback)>) -> Var {
+        {
+            let nodes = self.nodes.borrow();
+            parents.retain(|(id, _)| nodes[*id].requires_grad());
+        }
         self.push(Node {
             value,
             parents,
-            requires_grad: true,
+            kind: Kind::Op,
         })
     }
 }
@@ -287,6 +320,52 @@ mod tests {
         let tape = Tape::new();
         let a = tape.leaf(Matrix::filled(1, 1, 1.0));
         let _ = tape.grad(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "interior node")]
+    fn grad_of_an_interior_node_panics() {
+        let tape = Tape::new();
+        let a = tape.leaf(Matrix::filled(1, 2, 1.0));
+        let doubled = tape.scale(a, 2.0);
+        let loss = tape.sum(doubled);
+        tape.backward(loss);
+        let _ = tape.grad(doubled);
+    }
+
+    #[test]
+    fn pullbacks_into_constants_never_run() {
+        let tape = Tape::new();
+        let c = tape.constant(Matrix::filled(1, 1, 2.0));
+        let from_constant = tape.custom_unary(c, Matrix::filled(1, 1, 4.0), |_| {
+            panic!("pullback into a constant ran")
+        });
+        // An op computed from constants alone cannot reach a leaf either.
+        let derived = tape.scale(from_constant, 3.0);
+        let a = tape.leaf(Matrix::filled(1, 1, 1.5));
+        let loss = tape.custom_binary(
+            a,
+            derived,
+            Matrix::filled(1, 1, 18.0),
+            |up| up.scale(12.0),
+            |_| panic!("pullback into a constant-only op ran"),
+        );
+        tape.backward(loss);
+        assert_eq!(tape.grad(a), Matrix::filled(1, 1, 12.0));
+        assert_eq!(tape.grad(c), Matrix::zeros(1, 1));
+    }
+
+    #[test]
+    fn leaves_keep_their_gradients_across_grad_calls() {
+        let tape = Tape::new();
+        let a = tape.leaf(Matrix::filled(1, 3, 1.0));
+        let unused = tape.leaf(Matrix::filled(2, 2, 1.0));
+        let loss = tape.sum(tape.scale(a, 4.0));
+        tape.backward(loss);
+        assert_eq!(tape.grad(a), Matrix::filled(1, 3, 4.0));
+        assert_eq!(tape.grad(a), Matrix::filled(1, 3, 4.0));
+        // A leaf the loss does not depend on has a zero gradient.
+        assert_eq!(tape.grad(unused), Matrix::zeros(2, 2));
     }
 
     #[test]

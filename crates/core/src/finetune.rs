@@ -22,7 +22,7 @@ use leopard_autodiff::optim::Adam;
 use leopard_autodiff::Tape;
 use leopard_tensor::{ops, Matrix};
 use leopard_transformer::data::Dataset;
-use leopard_transformer::hooks::IdentityHook;
+use leopard_transformer::hooks::{IdentityHook, InferenceScoreHook};
 use leopard_transformer::TransformerClassifier;
 
 /// Hyper-parameters of the pruning-aware fine-tuning pass.
@@ -151,6 +151,10 @@ impl Finetuner {
 
         let mut epochs = Vec::with_capacity(self.config.epochs);
         let mut first_epoch_loss: Option<f32> = None;
+        // The hard-threshold evaluation of the latest epoch. After the last
+        // epoch the model and thresholds no longer change, so it is also the
+        // final evaluation.
+        let mut last_evaluation: Option<(f32, PruningStats)> = None;
 
         for epoch in 1..=self.config.epochs {
             let mut epoch_loss = 0.0f32;
@@ -202,7 +206,8 @@ impl Finetuner {
 
             let mean_loss = epoch_loss / train.len() as f32;
             let first = *first_epoch_loss.get_or_insert(mean_loss);
-            let eval_accuracy = evaluate_accuracy(model, eval, Some(&thresholds));
+            let (eval_accuracy, eval_stats) = evaluate_pruned(model, eval, &thresholds);
+            last_evaluation = Some((eval_accuracy, eval_stats));
             epochs.push(EpochRecord {
                 epoch,
                 train_loss: mean_loss,
@@ -217,10 +222,8 @@ impl Finetuner {
             });
         }
 
-        // Final evaluation with hard-threshold pruning and statistics.
-        let hook = HardThresholdHook::new(thresholds.clone());
-        let pruned_accuracy = evaluate_accuracy_with_hook(model, eval, &hook);
-        let pruning_stats = hook.stats();
+        let (pruned_accuracy, pruning_stats) =
+            last_evaluation.unwrap_or_else(|| evaluate_pruned(model, eval, &thresholds));
 
         FinetuneReport {
             baseline_accuracy,
@@ -232,6 +235,17 @@ impl Finetuner {
     }
 }
 
+/// Hard-threshold accuracy and pruning statistics of `model` on `data`.
+fn evaluate_pruned(
+    model: &TransformerClassifier,
+    data: &Dataset,
+    thresholds: &LayerThresholds,
+) -> (f32, PruningStats) {
+    let hook = HardThresholdHook::new(thresholds.clone());
+    let accuracy = evaluate_accuracy_with_hook(model, data, &hook);
+    (accuracy, hook.stats())
+}
+
 /// Evaluates classification accuracy. When `thresholds` is provided the
 /// evaluation applies hard-threshold pruning, otherwise the dense model runs.
 pub fn evaluate_accuracy(
@@ -240,30 +254,18 @@ pub fn evaluate_accuracy(
     thresholds: Option<&LayerThresholds>,
 ) -> f32 {
     match thresholds {
-        Some(th) => {
-            let hook = HardThresholdHook::new(th.clone());
-            evaluate_accuracy_with_hook(model, data, &hook)
-        }
-        None => {
-            let mut logits_all = Vec::with_capacity(data.len());
-            let mut labels = Vec::with_capacity(data.len());
-            for (x, label) in data.iter() {
-                let (logits, _) = model.forward_inference(x, &IdentityHook);
-                logits_all.push(logits.row(0).to_vec());
-                labels.push(label);
-            }
-            let logits = Matrix::from_rows(&logits_all);
-            ops::accuracy(&logits, &labels)
-        }
+        Some(th) => evaluate_pruned(model, data, th).0,
+        None => evaluate_accuracy_with_hook(model, data, &IdentityHook),
     }
 }
 
-/// Evaluates classification accuracy with an explicit hard-threshold hook so
-/// the caller can also read the accumulated pruning statistics.
+/// Evaluates classification accuracy with an explicit score hook, such as a
+/// [`HardThresholdHook`] whose accumulated pruning statistics the caller
+/// reads afterwards.
 pub fn evaluate_accuracy_with_hook(
     model: &TransformerClassifier,
     data: &Dataset,
-    hook: &HardThresholdHook,
+    hook: &impl InferenceScoreHook,
 ) -> f32 {
     let mut logits_all = Vec::with_capacity(data.len());
     let mut labels = Vec::with_capacity(data.len());

@@ -63,6 +63,9 @@ impl L0Config {
     }
 
     /// Derivative of the surrogate indicator with respect to the score.
+    ///
+    /// This closed form recomputes the sigmoid; [`l0_regularizer_op`]
+    /// reuses the forward pass's and is tested against it bit for bit.
     pub fn indicator_derivative(&self, soft_score: f32) -> f32 {
         let y = self.indicator(soft_score);
         self.sharpness * y * (1.0 - y)
@@ -72,11 +75,7 @@ impl L0Config {
     /// (optionally normalized to a fraction).
     pub fn surrogate_count(&self, soft_scores: &Matrix) -> f32 {
         let raw: f32 = soft_scores.iter().map(|&v| self.indicator(v)).sum();
-        if self.normalize && !soft_scores.is_empty() {
-            raw / soft_scores.len() as f32
-        } else {
-            raw
-        }
+        self.normalized(raw, soft_scores.len())
     }
 
     /// Exact count of surviving scores (those strictly above `-c`), i.e. the
@@ -86,8 +85,13 @@ impl L0Config {
             .iter()
             .filter(|&&v| v > -self.clip + self.alpha)
             .count() as f32;
-        if self.normalize && !soft_scores.is_empty() {
-            raw / soft_scores.len() as f32
+        self.normalized(raw, soft_scores.len())
+    }
+
+    /// A raw count over `len` scores, divided by `len` when normalizing.
+    fn normalized(&self, raw: f32, len: usize) -> f32 {
+        if self.normalize && len > 0 {
+            raw / len as f32
         } else {
             raw
         }
@@ -97,11 +101,30 @@ impl L0Config {
 /// Records the surrogate L0 term on the tape: the (optionally normalized)
 /// approximate survivor count of `soft_scores`, **already multiplied by
 /// `lambda`**, as a `1 x 1` node ready to be added to the task loss.
+///
+/// The forward pass keeps the indicator outputs `y` and the pullback uses
+/// them in `sharpness * y * (1 - y)`, matching [`L0Config::surrogate_count`]
+/// and [`L0Config::indicator_derivative`] bit for bit.
 pub fn l0_regularizer_op(tape: &Tape, soft_scores: Var, config: L0Config) -> Var {
+    // Scores the soft threshold saturated sit at exactly `-clip` (27.8% of
+    // them in the Figure 6 training runs). Their indicator is
+    // `sigmoid(-k * alpha)`, about 3.7e-44 at the paper's constants: a
+    // subnormal, which makes every operation on it slow. Evaluate it, and
+    // its gradient, once per op. Matching on bits keeps `-0.0` and NaN
+    // apart from their look-alikes.
+    let saturated = (-config.clip).to_bits();
+    let y_saturated = config.indicator(-config.clip);
     let values = tape.value(soft_scores);
-    let count = config.surrogate_count(&values);
-    let output = Matrix::filled(1, 1, config.lambda * count);
-    let n = values.len() as f32;
+    let y = values.map(|v| {
+        if v.to_bits() == saturated {
+            y_saturated
+        } else {
+            config.indicator(v)
+        }
+    });
+    let raw: f32 = y.iter().sum();
+    let output = Matrix::filled(1, 1, config.lambda * config.normalized(raw, y.len()));
+    let n = y.len() as f32;
     let cfg = config;
     tape.custom_unary(soft_scores, output, move |upstream: &Matrix| {
         let scale = if cfg.normalize && n > 0.0 {
@@ -109,7 +132,15 @@ pub fn l0_regularizer_op(tape: &Tape, soft_scores: Var, config: L0Config) -> Var
         } else {
             cfg.lambda
         };
-        values.map(|v| upstream[(0, 0)] * scale * cfg.indicator_derivative(v))
+        let g = upstream[(0, 0)] * scale;
+        let g_saturated = g * (cfg.sharpness * y_saturated * (1.0 - y_saturated));
+        y.map(|y| {
+            if y.to_bits() == y_saturated.to_bits() {
+                g_saturated
+            } else {
+                g * (cfg.sharpness * y * (1.0 - y))
+            }
+        })
     })
 }
 
@@ -179,6 +210,62 @@ mod tests {
             l0_regularizer_op(tape, s, cfg)
         });
         assert!(err < 1e-2, "regularizer gradient error {err}");
+    }
+
+    #[test]
+    fn tape_op_matches_closed_forms_bit_for_bit() {
+        let normalized = L0Config::default();
+        let raw = L0Config {
+            lambda: 0.3,
+            normalize: false,
+            ..L0Config::default()
+        };
+        for cfg in [normalized, raw] {
+            let c = cfg.clip;
+            // Saturated scores at exactly -clip, scores whose indicator is
+            // subnormal (-c + 0.1) or underflows to zero, the sigmoid's
+            // slope, ±0, kept scores and ±inf.
+            let scores = [
+                -c,
+                0.4,
+                -c,
+                -c + 0.1,
+                -c - 0.2,
+                -c + 0.95,
+                -c + 1.0,
+                -c + 1.05,
+                0.0,
+                -0.0,
+                2.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ];
+            assert!(cfg.indicator(-c).is_subnormal());
+            assert!(cfg.indicator(-c + 0.1).is_subnormal());
+
+            let upstream = 0.75;
+            let tape = Tape::new();
+            let s = tape.leaf(Matrix::row_vector(&scores));
+            let reg = l0_regularizer_op(&tape, s, cfg);
+            tape.backward(tape.scale(reg, upstream));
+
+            let values = Matrix::row_vector(&scores);
+            assert_eq!(
+                tape.value(reg)[(0, 0)].to_bits(),
+                (cfg.lambda * cfg.surrogate_count(&values)).to_bits()
+            );
+            let scale = if cfg.normalize {
+                cfg.lambda / scores.len() as f32
+            } else {
+                cfg.lambda
+            };
+            let expected: Vec<u32> = scores
+                .iter()
+                .map(|&v| (upstream * scale * cfg.indicator_derivative(v)).to_bits())
+                .collect();
+            let grad: Vec<u32> = tape.grad(s).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(grad, expected, "normalize = {}", cfg.normalize);
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use leopard_autodiff::{Tape, Var};
 use leopard_tensor::Matrix;
+use std::rc::Rc;
 
 /// Hyper-parameters of the soft threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +54,16 @@ impl SoftThresholdConfig {
 
     /// Forward value of the soft threshold for a single score.
     pub fn apply(&self, x: f32, threshold: f32) -> f32 {
-        let t = (self.sharpness * (x - threshold)).tanh();
+        self.blend(x, threshold, self.tanh_factor(x, threshold))
+    }
+
+    /// The shared factor `t = tanh(s (x - Th))` of both branches.
+    fn tanh_factor(&self, x: f32, threshold: f32) -> f32 {
+        (self.sharpness * (x - threshold)).tanh()
+    }
+
+    /// The output for a score whose tanh factor is `t`.
+    fn blend(&self, x: f32, threshold: f32, t: f32) -> f32 {
         if x >= threshold {
             x * t
         } else {
@@ -62,6 +72,9 @@ impl SoftThresholdConfig {
     }
 
     /// Partial derivative of the output with respect to the score `x`.
+    ///
+    /// This closed form recomputes the tanh; [`soft_threshold_op`] reuses
+    /// the forward pass's and is tested against it bit for bit.
     pub fn d_dx(&self, x: f32, threshold: f32) -> f32 {
         let u = self.sharpness * (x - threshold);
         let t = u.tanh();
@@ -73,10 +86,31 @@ impl SoftThresholdConfig {
         }
     }
 
-    /// Partial derivative of the output with respect to the threshold `Th`.
+    /// Partial derivative of the output with respect to the threshold `Th`,
+    /// the closed form [`soft_threshold_op`] is tested against.
     pub fn d_dth(&self, x: f32, threshold: f32) -> f32 {
         let u = self.sharpness * (x - threshold);
         let t = u.tanh();
+        let sech2 = 1.0 - t * t;
+        if x >= threshold {
+            -x * self.sharpness * sech2
+        } else {
+            -self.clip * self.sharpness * sech2
+        }
+    }
+
+    /// [`Self::d_dx`] given the forward pass's `t = tanh(s (x - Th))`.
+    fn d_dx_given_tanh(&self, x: f32, threshold: f32, t: f32) -> f32 {
+        let sech2 = 1.0 - t * t;
+        if x >= threshold {
+            t + x * self.sharpness * sech2
+        } else {
+            self.clip * self.sharpness * sech2
+        }
+    }
+
+    /// [`Self::d_dth`] given the forward pass's `t = tanh(s (x - Th))`.
+    fn d_dth_given_tanh(&self, x: f32, threshold: f32, t: f32) -> f32 {
         let sech2 = 1.0 - t * t;
         if x >= threshold {
             -x * self.sharpness * sech2
@@ -99,6 +133,11 @@ impl SoftThresholdConfig {
 /// respect to both inputs, so a single `Tape::backward` call co-optimizes
 /// weights and thresholds, which is the heart of the paper's method.
 ///
+/// `tanh(s (x - Th))` is evaluated once per score in the forward pass and
+/// both pullbacks reuse it through `sech² = 1 - t²`, matching
+/// [`SoftThresholdConfig::d_dx`] and [`SoftThresholdConfig::d_dth`] bit for
+/// bit.
+///
 /// # Panics
 ///
 /// Panics if `threshold` is not a `1 x 1` node.
@@ -113,12 +152,16 @@ pub fn soft_threshold_op(
         (1, 1),
         "threshold must be a 1x1 scalar node"
     );
-    let score_values = tape.value(scores);
+    let x = tape.value(scores);
     let th = tape.value(threshold)[(0, 0)];
-    let output = config.apply_matrix(&score_values, th);
+    let t = x.map(|x| config.tanh_factor(x, th));
+    let mut output = x.clone();
+    for (y, &t) in output.iter_mut().zip(t.iter()) {
+        *y = config.blend(*y, th, t);
+    }
 
-    let scores_for_dx = score_values.clone();
-    let scores_for_dth = score_values;
+    let forward = Rc::new((x, t));
+    let for_dth = Rc::clone(&forward);
     let cfg = config;
     tape.custom_binary(
         scores,
@@ -126,14 +169,20 @@ pub fn soft_threshold_op(
         output,
         move |upstream: &Matrix| {
             // dL/dscores = upstream ⊙ d_dx
-            upstream.hadamard(&scores_for_dx.map(|x| cfg.d_dx(x, th)))
+            let (x, t) = &*forward;
+            let mut grad = upstream.clone();
+            for ((g, &x), &t) in grad.iter_mut().zip(x.iter()).zip(t.iter()) {
+                *g *= cfg.d_dx_given_tanh(x, th, t);
+            }
+            grad
         },
         move |upstream: &Matrix| {
             // dL/dTh = Σ upstream ⊙ d_dth  (threshold is broadcast to all scores)
+            let (x, t) = &*for_dth;
             let total: f32 = upstream
                 .iter()
-                .zip(scores_for_dth.iter())
-                .map(|(&u, &x)| u * cfg.d_dth(x, th))
+                .zip(x.iter().zip(t.iter()))
+                .map(|(&u, (&x, &t))| u * cfg.d_dth_given_tanh(x, th, t))
                 .sum();
             Matrix::filled(1, 1, total)
         },
@@ -256,6 +305,76 @@ mod tests {
             tape.sum(pruned)
         });
         assert!(err < 0.5, "threshold gradient error {err}");
+    }
+
+    fn bits(values: impl IntoIterator<Item = f32>) -> Vec<u32> {
+        values.into_iter().map(f32::to_bits).collect()
+    }
+
+    /// Runs the op on a `1 x n` row of `scores` with upstream `up` and
+    /// compares the forward value and both pullbacks with the scalar
+    /// closed forms, bit for bit.
+    fn assert_op_matches_closed_forms(cfg: SoftThresholdConfig, scores: &[f32], th: f32) {
+        let up: Vec<f32> = (0..scores.len()).map(|i| 0.5 + 0.25 * i as f32).collect();
+        let tape = Tape::new();
+        let s = tape.leaf(Matrix::row_vector(scores));
+        let t = tape.leaf(Matrix::filled(1, 1, th));
+        let soft = soft_threshold_op(&tape, s, t, cfg);
+        let weighted = tape.hadamard(soft, tape.constant(Matrix::row_vector(&up)));
+        tape.backward(tape.sum(weighted));
+
+        let at = format!("th = {th}, scores = {scores:?}");
+        assert_eq!(
+            bits(tape.value(soft).iter().copied()),
+            bits(scores.iter().map(|&x| cfg.apply(x, th))),
+            "forward, {at}"
+        );
+        assert_eq!(
+            bits(tape.grad(s).iter().copied()),
+            bits(up.iter().zip(scores).map(|(&u, &x)| u * cfg.d_dx(x, th))),
+            "d/dscores, {at}"
+        );
+        let dth: f32 = up
+            .iter()
+            .zip(scores)
+            .map(|(&u, &x)| u * cfg.d_dth(x, th))
+            .sum();
+        assert_eq!(tape.grad(t)[(0, 0)].to_bits(), dth.to_bits(), "d/dTh, {at}");
+    }
+
+    #[test]
+    fn tape_op_matches_closed_forms_bit_for_bit() {
+        let cfg = SoftThresholdConfig::default();
+        for th in [0.0f32, -0.0, 0.3, -0.45] {
+            // At the threshold, ±0, just around it, the saturated region
+            // |s (x - Th)| > 9 on both sides, the clip value, and ±inf.
+            let probes = [
+                th,
+                0.0,
+                -0.0,
+                th + 1e-3,
+                th - 1e-3,
+                th + 0.05,
+                th - 0.05,
+                th + 0.95,
+                th - 0.95,
+                th + 3.0,
+                th - 3.0,
+                -cfg.clip,
+                cfg.clip,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+            ];
+            assert!(probes
+                .iter()
+                .any(|&x| (cfg.sharpness * (x - th)).abs() > 9.0));
+            // Each probe alone pins its per-score terms, and the finite
+            // probes together pin the threshold sum's order.
+            for &x in &probes {
+                assert_op_matches_closed_forms(cfg, &[x], th);
+            }
+            assert_op_matches_closed_forms(cfg, &probes[..13], th);
+        }
     }
 
     #[test]

@@ -147,7 +147,13 @@ pub fn tanh_derivative_from_output(y: f32) -> f32 {
 
 /// GELU activation (tanh approximation), used by the transformer FFN blocks.
 pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + ((2.0 / std::f32::consts::PI).sqrt() * (x + 0.044_715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + gelu_inner_tanh(x))
+}
+
+/// The `tanh` factor of [`gelu`], `tanh(sqrt(2/pi) (x + 0.044715 x^3))`, for
+/// callers that also need it for the derivative.
+pub fn gelu_inner_tanh(x: f32) -> f32 {
+    ((2.0 / std::f32::consts::PI).sqrt() * (x + 0.044_715 * x * x * x)).tanh()
 }
 
 /// ReLU activation.

@@ -129,4 +129,91 @@ mod tests {
         let b = train_task(&suite[25], &quick_options());
         assert_ne!(a.report.thresholds, b.report.thresholds);
     }
+
+    /// One task's pinned fine-tuning numerics: per epoch the `to_bits()` of
+    /// `[train_loss, mean_threshold, sparsity, eval_accuracy]`, then the
+    /// final thresholds, `pruned_accuracy` and the final pruning counts.
+    struct TrainingGolden {
+        task: &'static str,
+        heads: usize,
+        epochs: [[u32; 4]; 2],
+        thresholds: &'static [u32],
+        pruned_accuracy: u32,
+        pruned_scores: (u64, u64),
+    }
+
+    const TRAINING_GOLDENS: [TrainingGolden; 2] = [
+        TrainingGolden {
+            task: "MemN2N Task-1",
+            heads: 1,
+            epochs: [
+                [0x3fe7_2d89, 0x3da0_ff1b, 0x3e88_bda1, 0x3ed5_5555],
+                [0x3f46_2483, 0x3ddc_3f4d, 0x3e96_9e06, 0x3f40_0000],
+            ],
+            thresholds: &[0x3d62_55f0, 0x3dea_322a, 0x3e1c_b062],
+            pruned_accuracy: 0x3f40_0000,
+            pruned_scores: (20_736, 11_304),
+        },
+        TrainingGolden {
+            task: "BERT-B G-QNLI",
+            heads: 2,
+            epochs: [
+                [0x4035_7b8d, 0x3cbc_e3f6, 0x3eca_3da1, 0x3eaa_aaab],
+                [0x3fb6_462b, 0x3c5a_56ca, 0x3eb6_9ed1, 0x3f40_0000],
+            ],
+            thresholds: &[0xbd91_1da8, 0x3dbe_fe07, 0xbc2f_e34f, 0x3d2a_8ee0],
+            pruned_accuracy: 0x3f40_0000,
+            pruned_scores: (55_296, 28_450),
+        },
+    ];
+
+    /// Training numerics are pinned bit for bit, so a change to an op, a
+    /// pullback, the tape or the fine-tuning loop that moves any result
+    /// shows up here rather than only in an end-to-end digest.
+    #[test]
+    fn training_numerics_match_the_golden_bits() {
+        let suite = full_suite();
+        for golden in &TRAINING_GOLDENS {
+            let task = suite
+                .iter()
+                .find(|t| t.name == golden.task)
+                .expect("golden task is in the suite");
+            let outcome = train_task(task, &quick_options());
+            assert_eq!(outcome.model_config.heads, golden.heads, "{}", golden.task);
+            let report = &outcome.report;
+            let epochs: Vec<[u32; 4]> = report
+                .epochs
+                .iter()
+                .map(|e| {
+                    [
+                        e.train_loss.to_bits(),
+                        e.mean_threshold.to_bits(),
+                        e.sparsity.to_bits(),
+                        e.eval_accuracy.to_bits(),
+                    ]
+                })
+                .collect();
+            assert_eq!(epochs, golden.epochs, "{} epoch records", golden.task);
+            let thresholds: Vec<u32> = report
+                .thresholds
+                .as_slice()
+                .iter()
+                .map(|t| t.to_bits())
+                .collect();
+            assert_eq!(thresholds, golden.thresholds, "{} thresholds", golden.task);
+            assert_eq!(
+                report.pruned_accuracy.to_bits(),
+                golden.pruned_accuracy,
+                "{} pruned accuracy",
+                golden.task
+            );
+            let stats = &report.pruning_stats;
+            assert_eq!(
+                (stats.total_scores(), stats.pruned_scores()),
+                golden.pruned_scores,
+                "{} final pruning counts",
+                golden.task
+            );
+        }
+    }
 }
