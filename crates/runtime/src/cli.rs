@@ -48,7 +48,9 @@ use crate::report::{
     summary_line, task_results_csv,
 };
 use crate::sched::SchedulePolicy;
-use crate::serving::{run_serving, ArrivalProcess, RequestMix, ServingOptions, ServingReport};
+use crate::serving::{
+    run_serving, ArrivalProcess, RequestMix, ServingOptions, ServingReport, MAX_SERVERS,
+};
 use leopard_accel::config::TileConfig;
 use leopard_accel::cost::head_cost;
 use leopard_accel::energy::EnergyModel;
@@ -330,7 +332,7 @@ SERVE FLAGS:
     --slo-cycles N    shed requests whose predicted completion exceeds N
                       virtual cycles after arrival; reports shed rate and
                       goodput (default: admit everything)
-    --servers T       virtual tiles to dispatch onto (default 32)
+    --servers T       virtual tiles to dispatch onto, 1 to 65536 (default 32)
     --slo-headroom H  multiplicative headroom applied to predicted cycles
                       before the SLO comparison (default 1.4; must be a
                       positive finite number)
@@ -594,6 +596,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 serve.servers = v.parse().map_err(|_| format!("bad server count {v:?}"))?;
                 if serve.servers == 0 {
                     return Err("--servers must be at least 1".to_string());
+                }
+                if serve.servers > MAX_SERVERS {
+                    return Err(format!("--servers must be at most {MAX_SERVERS}"));
                 }
                 serve_flag_seen = serve_flag_seen.or(Some("--servers"));
             }
@@ -1848,6 +1853,25 @@ mod tests {
                 assert_eq!(common.schedule, SchedulePolicy::Fifo);
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn servers_above_the_documented_maximum_are_rejected_cleanly() {
+        // A usize::MAX tile count used to overflow the tile-array
+        // allocation, and 1e11 tiles aborted on a failed allocation.
+        let max = MAX_SERVERS.to_string();
+        match parse(&args(&["serve", "--servers", &max])).unwrap() {
+            Command::Serve(spec, _) => assert_eq!(spec.servers, MAX_SERVERS),
+            other => panic!("unexpected {other:?}"),
+        }
+        for too_many in [
+            (MAX_SERVERS + 1).to_string(),
+            "100000000000".to_string(),
+            u64::MAX.to_string(),
+        ] {
+            let err = parse(&args(&["serve", "--servers", &too_many])).unwrap_err();
+            assert!(err.contains("at most 65536"), "{too_many}: {err}");
         }
     }
 

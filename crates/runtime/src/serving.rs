@@ -88,6 +88,7 @@ use leopard_workloads::pipeline::{plan_task_layer, plan_task_layer_at_rate, Pipe
 use leopard_workloads::suite::TaskDescriptor;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How inter-arrival gaps are generated. Every process is seeded and lives
@@ -134,6 +135,13 @@ pub const DEFAULT_BACKOFF_BASE_CYCLES: u64 = 4096;
 /// tighten a request's pruning threshold by at most this many steps of
 /// `degraded_pruning_rate` before concluding degradation cannot save it.
 pub const DEGRADE_LEVELS: u32 = 2;
+
+/// Largest tile count a serving run accepts ([`ServingOptions::servers`],
+/// `--servers` on the CLI). The replay keeps a few words of state per tile
+/// and scans the tile array on every settled instant, so the bound keeps
+/// both the per-run allocation and the per-event cost finite; it is far
+/// above any chip the cost model describes.
+pub const MAX_SERVERS: usize = 65_536;
 
 /// Mean number of requests per burst of [`ArrivalProcess::Bursty`].
 pub const BURST_MEAN_LEN: f64 = 16.0;
@@ -449,8 +457,8 @@ pub struct RequestRecord {
     pub id: usize,
     /// Suite id of the task served.
     pub task_id: usize,
-    /// Name of the task served.
-    pub task_name: String,
+    /// Name of the task served (shared by every record of the task).
+    pub task_name: Arc<str>,
     /// Arrival cycle.
     pub arrival_cycle: u64,
     /// Cycle the request started executing on a tile.
@@ -535,8 +543,9 @@ pub struct ShedRecord {
     pub id: usize,
     /// Suite id of the task the request asked for.
     pub task_id: usize,
-    /// Name of the task the request asked for.
-    pub task_name: String,
+    /// Name of the task the request asked for (shared by every record of
+    /// the task).
+    pub task_name: Arc<str>,
     /// Arrival cycle.
     pub arrival_cycle: u64,
     /// Virtual cycle the shed decision was made.
@@ -995,22 +1004,23 @@ pub fn generate_requests(suite: &[TaskDescriptor], options: &ServingOptions) -> 
 /// cheapest subset of the live set, so placement follows fail/recover
 /// events with no extra mechanism.
 ///
-/// # Panics
-///
-/// Panics if fewer than `take` tiles are live (the replay clamps `take`
-/// to the live count before calling).
-fn free_tile_gang(tile_free_at: &[u64], tile_down: &[bool], take: usize) -> (Vec<usize>, u64) {
-    let mut order: Vec<usize> = (0..tile_free_at.len())
-        .filter(|&tile| !tile_down[tile])
-        .collect();
-    order.sort_by_key(|&tile| (tile_free_at[tile], tile));
-    let gang: Vec<usize> = order[..take].to_vec();
-    let ready_at = gang
-        .iter()
-        .map(|&tile| tile_free_at[tile])
-        .max()
-        .unwrap_or(0);
-    (gang, ready_at)
+/// The gang is written into `gang` (cleared first), a scratch buffer the
+/// replay owns, so selection allocates nothing once the buffer has grown
+/// to the tile count. The `(free_at, index)` keys are unique, so the
+/// unstable sort is deterministic. Returns 0 for an empty gang; the
+/// replay only calls with `1 <= take <= live`.
+fn free_tile_gang(
+    tile_free_at: &[u64],
+    tile_down: &[bool],
+    take: usize,
+    gang: &mut Vec<usize>,
+) -> u64 {
+    gang.clear();
+    gang.extend((0..tile_free_at.len()).filter(|&tile| !tile_down[tile]));
+    gang.sort_unstable_by_key(|&tile| (tile_free_at[tile], tile));
+    gang.truncate(take);
+    // Sorted by free time first, so the last member frees up last.
+    gang.last().map_or(0, |&tile| tile_free_at[tile])
 }
 
 /// Live-set state of the tile array during the replay: which tiles are
@@ -1121,16 +1131,22 @@ impl LiveTiles {
 /// # Panics
 ///
 /// Panics if `suite` is empty, the rate is not positive, `options.servers`
-/// is zero, `options.slo_headroom` is not a positive finite number, the
-/// retry backoff base is zero while retries are enabled, or the fault plan
-/// fails validation against `options.servers` (out-of-range tiles,
-/// sub-100% slow multipliers, a fail rate outside `[0, 1]`).
+/// is zero or above [`MAX_SERVERS`], `options.slo_headroom` is not a
+/// positive finite number, the retry backoff base is zero while retries
+/// are enabled, or the fault plan fails validation against
+/// `options.servers` (out-of-range tiles, sub-100% slow multipliers, a
+/// fail rate outside `[0, 1]`).
 pub fn run_serving(
     runner: &SuiteRunner,
     suite: &[TaskDescriptor],
     options: &ServingOptions,
 ) -> ServingReport {
     assert!(options.servers > 0, "serving needs at least one tile");
+    assert!(
+        options.servers <= MAX_SERVERS,
+        "serving supports at most {MAX_SERVERS} tiles, got {}",
+        options.servers
+    );
     assert!(
         options.slo_headroom.is_finite() && options.slo_headroom > 0.0,
         "SLO headroom must be a positive finite factor, got {}",
@@ -1202,17 +1218,32 @@ pub fn run_serving(
         .collect();
     let service = measure_layer_makespans(runner, jobs, &options.pipeline, &options.config);
     let telemetry = runner.telemetry().cloned();
-    let task_pos = |task_index: usize| -> usize {
-        used.binary_search(&task_index).expect("task was executed") // lint:allow(panic-in-library, reason = "`used` is built from exactly the task indices the requests reference, so the binary search cannot miss")
-    };
-    let width_pos = |width: usize| -> usize {
-        widths
-            .binary_search(&width)
-            .expect("plan width was measured") // lint:allow(panic-in-library, reason = "`widths` enumerates every live count the event timeline can produce, so the replay cannot ask for an unmeasured width")
-    };
-    let service_at = |width: usize, task_index: usize| {
-        service[width_pos(width) * used.len() + task_pos(task_index)]
-    };
+    // Direct-indexed lookups, so the replay never searches: a request's
+    // (width, task) cell is `row_at_live[live] + task_slot[task_index]`.
+    // The plan width is a function of the live tile count (the configured
+    // tile count at full capacity, the whole live set below the gang
+    // size), so the row table is indexed by live count; every reduced live
+    // count the timeline can reach is in `widths`, and unreachable entries
+    // are never read.
+    let mut task_slot = vec![0usize; suite.len()];
+    for (slot, &task_index) in used.iter().enumerate() {
+        task_slot[task_index] = slot;
+    }
+    let width_row = |width: usize| widths.binary_search(&width).unwrap_or(0) * used.len();
+    let row_at_live: Vec<usize> = (0..=options.servers)
+        .map(|live| width_row(if live >= gang_size { tiles } else { live }))
+        .collect();
+    let full_row = width_row(tiles);
+    // One shared name per used task: records and sheds clone the `Arc`.
+    let task_names: Vec<Arc<str>> = used
+        .iter()
+        .map(|&i| Arc::from(suite[i].name.as_str()))
+        .collect();
+    // Per-tile slow multipliers, looked up in the plan once, not per
+    // dispatch.
+    let slow_pct_at: Vec<u32> = (0..options.servers)
+        .map(|tile| fault_plan.slow_pct(tile))
+        .collect();
 
     // --- Phase 2: replay the arrival process in virtual time. Predictions,
     // like service cycles, are per distinct (width, task) and come from the
@@ -1228,9 +1259,6 @@ pub fn run_serving(
             })
         })
         .collect();
-    let predicted_at = |width: usize, task_index: usize| {
-        predicted_table[width_pos(width) * used.len() + task_pos(task_index)]
-    };
     // Degradation ladder prices, plan-only (no simulation): the predicted
     // makespan at each tightened pruning rate, per (width, task, level).
     let degrade_levels = if options.degrade { DEGRADE_LEVELS } else { 0 };
@@ -1252,15 +1280,9 @@ pub fn run_serving(
             })
         })
         .collect();
-    let degraded_predicted_at = |width: usize, task_index: usize, level: u32| {
-        degraded_table[(width_pos(width) * used.len() + task_pos(task_index))
-            * degrade_levels as usize
-            + (level - 1) as usize]
+    let degraded_predicted_at = |cell: usize, level: u32| {
+        degraded_table[cell * degrade_levels as usize + (level - 1) as usize]
     };
-    let predicted: Vec<u64> = requests
-        .iter()
-        .map(|r| predicted_at(tiles, r.task_index))
-        .collect();
     let mut ready = ReadyQueue::new(options.policy);
     let mut deferred = DeferralQueue::new();
     let mut attempts: Vec<u32> = vec![0; requests.len()];
@@ -1272,7 +1294,11 @@ pub fn run_serving(
     let mut shed_after_retries = 0u64;
     let mut tile_free_at = vec![0u64; options.servers];
     let mut next_arrival = 0usize;
-    let mut records: Vec<Option<RequestRecord>> = vec![None; requests.len()];
+    // Records are pushed in dispatch order and sorted by id once at the
+    // end; sheds never occupy a slot.
+    let mut records: Vec<RequestRecord> = Vec::new();
+    // Scratch for gang selection, reused by every dispatch attempt.
+    let mut gang: Vec<usize> = Vec::with_capacity(options.servers);
     let mut shed: Vec<ShedRecord> = Vec::new();
     let mut queue_samples = Vec::with_capacity(requests.len());
     // Observability state, all on the virtual clock (deterministic). The
@@ -1315,10 +1341,15 @@ pub fn run_serving(
         while let Some(job) = deferred.pop_ready(clock) {
             ready.push(job);
         }
+        // The instant the cheapest gang frees up when dispatch stalls on a
+        // busy gang. Nothing touches the tiles or the live set between the
+        // stall and the next-clock step, so it is reused there as is.
+        let mut stalled_until: Option<u64> = None;
         while !ready.is_empty() && live_tiles.live > 0 {
             let take = gang_size.min(live_tiles.live);
-            let (gang, free_at) = free_tile_gang(&tile_free_at, &live_tiles.down, take);
+            let free_at = free_tile_gang(&tile_free_at, &live_tiles.down, take, &mut gang);
             if free_at > clock {
+                stalled_until = Some(free_at);
                 break;
             }
             depth_cycle_integral += u128::from(clock - depth_last_cycle) * ready.len() as u128;
@@ -1327,13 +1358,10 @@ pub fn run_serving(
             let request = requests[job.index];
             let task = &suite[request.task_index];
             let attempt = attempts[job.index];
-            // The plan width the gang spans: full-capacity plans use the
+            let slot = task_slot[request.task_index];
+            // The (plan width, task) cell: full-capacity plans use the
             // configured tile count; below it, the whole live set.
-            let width = if live_tiles.live >= gang_size {
-                tiles
-            } else {
-                live_tiles.live
-            };
+            let cell = row_at_live[live_tiles.live] + slot;
             // Transient dispatch fault? Decided by the counter-addressed
             // seeded stream — a pure function of (request, attempt), so
             // retry reordering never perturbs the pattern.
@@ -1374,7 +1402,7 @@ pub fn run_serving(
                     shed.push(ShedRecord {
                         id: request.id,
                         task_id: task.id,
-                        task_name: task.name.clone(),
+                        task_name: Arc::clone(&task_names[slot]),
                         arrival_cycle: request.arrival_cycle,
                         shed_cycle: clock,
                         predicted_cycles: job.predicted_cycles,
@@ -1405,17 +1433,17 @@ pub fn run_serving(
             // the retry budget exhausted.
             let mut level = 0u32;
             if let Some(slo) = options.slo_cycles {
-                let deadline = request.arrival_cycle + slo;
-                let predicted_now = predicted_at(width, request.task_index);
-                let padded = (predicted_now as f64 * options.slo_headroom) as u64;
-                if clock + padded > deadline {
+                // Saturating: a huge SLO or headroom pins the sum at
+                // `u64::MAX` instead of wrapping past the deadline.
+                let deadline = request.arrival_cycle.saturating_add(slo);
+                let padded = (predicted_table[cell] as f64 * options.slo_headroom) as u64;
+                if clock.saturating_add(padded) > deadline {
                     if options.degrade {
                         for candidate in 1..=DEGRADE_LEVELS {
-                            let degraded_predicted =
-                                degraded_predicted_at(width, request.task_index, candidate);
-                            let degraded_padded =
-                                (degraded_predicted as f64 * options.slo_headroom) as u64;
-                            if clock + degraded_padded <= deadline {
+                            let degraded_padded = (degraded_predicted_at(cell, candidate) as f64
+                                * options.slo_headroom)
+                                as u64;
+                            if clock.saturating_add(degraded_padded) <= deadline {
                                 level = candidate;
                                 break;
                             }
@@ -1450,7 +1478,7 @@ pub fn run_serving(
                         shed.push(ShedRecord {
                             id: request.id,
                             task_id: task.id,
-                            task_name: task.name.clone(),
+                            task_name: Arc::clone(&task_names[slot]),
                             arrival_cycle: request.arrival_cycle,
                             shed_cycle: clock,
                             predicted_cycles: job.predicted_cycles,
@@ -1482,7 +1510,7 @@ pub fn run_serving(
                     }
                 }
             }
-            let base_service = service_at(width, request.task_index);
+            let base_service = service[cell];
             let mut service_cycles = if level == 0 {
                 base_service
             } else {
@@ -1490,8 +1518,8 @@ pub fn run_serving(
                 // cost model's own degraded/full prediction ratio —
                 // integer arithmetic, so deterministic across platforms.
                 degraded_count += 1;
-                let full = predicted_at(width, request.task_index).max(1);
-                let cheap = degraded_predicted_at(width, request.task_index, level);
+                let full = predicted_table[cell].max(1);
+                let cheap = degraded_predicted_at(cell, level);
                 ((u128::from(base_service) * u128::from(cheap) / u128::from(full)).max(1)) as u64
             };
             // A gang advances at its slowest member's pace: the worst slow
@@ -1499,7 +1527,7 @@ pub fn run_serving(
             // division keeps it integer cycles).
             let slow_pct = gang
                 .iter()
-                .map(|&tile| fault_plan.slow_pct(tile))
+                .map(|&tile| slow_pct_at[tile])
                 .max()
                 .unwrap_or(100);
             if slow_pct > 100 {
@@ -1543,10 +1571,10 @@ pub fn run_serving(
                 cycle: clock,
                 depth: ready.len(),
             });
-            records[job.index] = Some(RequestRecord {
+            records.push(RequestRecord {
                 id: request.id,
                 task_id: task.id,
-                task_name: task.name.clone(),
+                task_name: Arc::clone(&task_names[slot]),
                 arrival_cycle: request.arrival_cycle,
                 start_cycle: clock,
                 finish_cycle: finish,
@@ -1583,9 +1611,7 @@ pub fn run_serving(
         if next_arrival < requests.len() {
             next_clock = earlier(next_clock, requests[next_arrival].arrival_cycle);
         }
-        if !ready.is_empty() && live_tiles.live > 0 {
-            let take = gang_size.min(live_tiles.live);
-            let (_, next_free) = free_tile_gang(&tile_free_at, &live_tiles.down, take);
+        if let Some(next_free) = stalled_until {
             next_clock = earlier(next_clock, next_free);
         }
         if let Some(ready_cycle) = deferred.next_ready_cycle() {
@@ -1614,7 +1640,7 @@ pub fn run_serving(
                     shed.push(ShedRecord {
                         id: request.id,
                         task_id: task.id,
-                        task_name: task.name.clone(),
+                        task_name: Arc::clone(&task_names[task_slot[request.task_index]]),
                         arrival_cycle: request.arrival_cycle,
                         shed_cycle: clock,
                         predicted_cycles: job.predicted_cycles,
@@ -1647,14 +1673,14 @@ pub fn run_serving(
             let request = requests[next_arrival];
             ready.push(PredictedJob {
                 index: request.id,
-                predicted_cycles: predicted[request.id],
+                predicted_cycles: predicted_table[full_row + task_slot[request.task_index]],
             });
             next_arrival += 1;
         }
     }
 
-    // Shed requests leave a hole; admitted records keep arrival order.
-    let records: Vec<RequestRecord> = records.into_iter().flatten().collect();
+    // Ids are unique, so this restores arrival order exactly.
+    records.sort_unstable_by_key(|r| r.id);
     let observed_cycles = records
         .iter()
         .map(|r| r.finish_cycle)
@@ -2271,5 +2297,39 @@ mod tests {
             .max()
             .unwrap();
         assert!(first_wave.contains(&overall_max));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The replay's allocation-free gang selection against a naive
+        /// oracle: filter the live tiles, sort by `(free_at, index)`, take
+        /// a prefix, and wait for its slowest member. Free times are drawn
+        /// from a narrow range so ties are common, tile counts run past the
+        /// length where the unstable sort stops being an insertion sort,
+        /// and the scratch buffer starts dirty, as it does mid-replay.
+        #[test]
+        fn gang_selection_matches_the_naive_oracle(
+            tiles in proptest::collection::vec((0u64..6, 0u32..3), 1..64),
+            take_raw in 0usize..1_000,
+            junk in proptest::collection::vec(0usize..64, 0..8),
+        ) {
+            let tile_free_at: Vec<u64> = tiles.iter().map(|&(free_at, _)| free_at).collect();
+            // One in three tiles is down.
+            let down: Vec<bool> = tiles.iter().map(|&(_, bit)| bit == 0).collect();
+            let live: Vec<usize> = (0..tiles.len()).filter(|&tile| !down[tile]).collect();
+            proptest::prop_assume!(!live.is_empty());
+            let take = 1 + take_raw % live.len();
+
+            let mut oracle_gang = live.clone();
+            oracle_gang.sort_by_key(|&tile| (tile_free_at[tile], tile));
+            oracle_gang.truncate(take);
+            let oracle_ready = oracle_gang.iter().map(|&tile| tile_free_at[tile]).max().unwrap();
+
+            let mut gang = junk.clone();
+            let ready = free_tile_gang(&tile_free_at, &down, take, &mut gang);
+            proptest::prop_assert_eq!(&gang, &oracle_gang);
+            proptest::prop_assert_eq!(ready, oracle_ready);
+        }
     }
 }

@@ -20,6 +20,7 @@
 use leopard_runtime::engine::SuiteRunner;
 use leopard_runtime::faults::{FaultPlan, SlowTile, TileFaultEvent, TileFaultKind};
 use leopard_runtime::report::{serving_report_json, serving_requests_csv};
+use leopard_runtime::sched::SchedulePolicy;
 use leopard_runtime::serving::{run_serving, ServingOptions, ServingReport};
 use leopard_workloads::pipeline::PipelineOptions;
 use leopard_workloads::suite::{full_suite, TaskDescriptor};
@@ -275,4 +276,62 @@ fn permanent_outage_shed_everything_still_in_flight() {
     // The whole thing replays identically at another thread count.
     let again = faulted_report(&options, 4);
     assert_eq!(serving_requests_csv(&again), serving_requests_csv(&report));
+}
+
+#[test]
+fn a_total_permanent_outage_accounts_for_every_request_once() {
+    // Every tile fails mid-stream and none recovers. The replay sheds
+    // whatever is stranded; what it served must still come out in strictly
+    // increasing id order, and served plus shed ids must be exactly
+    // `0..n`, each once.
+    let servers = 4;
+    let plan = FaultPlan {
+        seed: 7,
+        fail_rate: 0.2,
+        tile_events: (0..servers)
+            .map(|tile| TileFaultEvent {
+                cycle: 1_500 + 100 * tile as u64,
+                tile,
+                kind: TileFaultKind::Fail,
+            })
+            .collect(),
+        slow_tiles: vec![SlowTile {
+            tile: 1,
+            multiplier_pct: 180,
+        }],
+    };
+    let options = ServingOptions {
+        requests: 160,
+        servers,
+        // Shortest-predicted-first dispatches out of arrival order, so
+        // record order is a property of the replay, not of the policy.
+        policy: SchedulePolicy::Sjf,
+        faults: Some(plan),
+        slo_cycles: Some(2_000),
+        retry_max: 2,
+        backoff_base_cycles: 64,
+        degrade: true,
+        pipeline: PipelineOptions {
+            tiles: 2,
+            ..small_pipeline()
+        },
+        ..ServingOptions::default()
+    };
+    let report = faulted_report(&options, 2);
+    let summary = report.fault_summary.as_ref().expect("fault layer active");
+    assert_eq!(summary.min_live_tiles, 0);
+    assert_eq!(summary.tile_recover_events, 0);
+    assert!(!report.records.is_empty() && !report.shed.is_empty());
+    assert!(
+        report.records.windows(2).all(|w| w[0].id < w[1].id),
+        "records must be in strictly increasing id order"
+    );
+    let mut ids: Vec<usize> = report
+        .records
+        .iter()
+        .map(|r| r.id)
+        .chain(report.shed.iter().map(|s| s.id))
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..options.requests).collect::<Vec<_>>());
 }

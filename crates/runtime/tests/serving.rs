@@ -309,3 +309,45 @@ fn suite_schedule_is_latency_only() {
         );
     }
 }
+
+#[test]
+fn the_loosest_slo_admits_exactly_what_no_slo_admits() {
+    // `arrival + u64::MAX` must saturate at the latest possible deadline,
+    // not wrap to an already-expired one and shed the whole stream.
+    let suite = reduced_suite();
+    let runner = SuiteRunner::new(2);
+    let unbounded = run_serving(&runner, &suite, &reduced_options());
+    let loosest = run_serving(
+        &runner,
+        &suite,
+        &ServingOptions {
+            slo_cycles: Some(u64::MAX),
+            ..reduced_options()
+        },
+    );
+    assert!(
+        loosest.shed.is_empty(),
+        "no prediction misses a u64::MAX deadline"
+    );
+    assert_eq!(loosest.records, unbounded.records);
+}
+
+#[test]
+fn an_unbounded_headroom_admits_nothing() {
+    // A headroom so large that the padded prediction saturates at
+    // `u64::MAX`: `clock + padded` must saturate too, so every request
+    // predicts past its deadline instead of wrapping back under it.
+    let suite = reduced_suite();
+    let options = ServingOptions {
+        slo_cycles: Some(1_000),
+        slo_headroom: 1e300,
+        ..reduced_options()
+    };
+    let report = run_serving(&SuiteRunner::new(2), &suite, &options);
+    assert!(
+        report.records.is_empty(),
+        "{} admitted",
+        report.records.len()
+    );
+    assert_eq!(report.shed.len(), options.requests);
+}
