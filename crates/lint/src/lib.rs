@@ -131,7 +131,7 @@ impl Default for LintConfig {
             blessed_telemetry_fns: vec!["write_telemetry_outputs"],
             par_markers: vec!["shards", "workers", "head_workloads", "partials"],
             blessed_reductions: vec!["merge_shards", "merge_head_shards", "timing_pass"],
-            excluded_prefixes: vec!["crates/criterion", "crates/rand", "crates/proptest"],
+            excluded_prefixes: vec!["crates/rand", "crates/proptest"],
         }
     }
 }
@@ -296,6 +296,7 @@ mod tests {
     #[test]
     fn default_config_exempts_stand_in_crates() {
         let config = LintConfig::default();
-        assert!(config.excluded_prefixes.contains(&"crates/criterion"));
+        assert!(config.excluded_prefixes.contains(&"crates/rand"));
+        assert!(config.excluded_prefixes.contains(&"crates/proptest"));
     }
 }

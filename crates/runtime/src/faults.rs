@@ -218,6 +218,7 @@ impl FaultPlan {
     /// Whether dispatch attempt `attempt` of request `request` fails
     /// transiently. A pure function of `(seed, request, attempt)`; with a
     /// zero fail rate no stream is even consulted.
+    #[inline]
     pub fn transient_fails(&self, request: usize, attempt: u32) -> bool {
         if self.fail_rate <= 0.0 {
             return false;
@@ -233,6 +234,7 @@ impl FaultPlan {
     /// exponential backoff (`base << attempt`, shift saturated at 32) plus
     /// a jitter drawn uniformly from `[0, base)` out of the seeded stream,
     /// so synchronized retries de-correlate deterministically.
+    #[inline]
     pub fn backoff_cycles(&self, base: u64, request: usize, attempt: u32) -> u64 {
         let backoff = base.saturating_mul(1u64 << u64::from(attempt.min(32)));
         let jitter = if base > 1 {
@@ -264,7 +266,7 @@ impl FaultPlan {
         let mut plan = FaultPlan::default();
         for (key, value) in object {
             match key.as_str() {
-                "seed" => plan.seed = value.as_u64("seed")?,
+                "seed" => plan.seed = value.as_int("seed")?,
                 "fail_rate" => plan.fail_rate = value.as_f64("fail_rate")?,
                 "tile_events" => {
                     for entry in value.as_array("tile_events")? {
@@ -322,8 +324,8 @@ fn parse_tile_event(value: &Json) -> Result<TileFaultEvent, String> {
     let (mut cycle, mut tile, mut kind) = (None, None, None);
     for (key, value) in object {
         match key.as_str() {
-            "cycle" => cycle = Some(value.as_u64("cycle")?),
-            "tile" => tile = Some(value.as_u64("tile")? as usize),
+            "cycle" => cycle = Some(value.as_int("cycle")?),
+            "tile" => tile = Some(value.as_int("tile")?),
             "kind" => {
                 kind = Some(match value.as_str("kind")? {
                     "fail" => TileFaultKind::Fail,
@@ -350,8 +352,8 @@ fn parse_slow_tile(value: &Json) -> Result<SlowTile, String> {
     let (mut tile, mut multiplier) = (None, None);
     for (key, value) in object {
         match key.as_str() {
-            "tile" => tile = Some(value.as_u64("tile")? as usize),
-            "multiplier_pct" => multiplier = Some(value.as_u64("multiplier_pct")? as u32),
+            "tile" => tile = Some(value.as_int("tile")?),
+            "multiplier_pct" => multiplier = Some(value.as_int("multiplier_pct")?),
             other => return Err(format!("unknown slow-tile key {other:?}")),
         }
     }
@@ -365,7 +367,10 @@ fn parse_slow_tile(value: &Json) -> Result<SlowTile, String> {
 /// hand-rolled recursive-descent parser.
 #[derive(Debug, Clone, PartialEq)]
 enum Json {
-    Number(f64),
+    /// A number's source text and its byte offset. Integer fields parse
+    /// the text exactly; a trip through `f64` would round anything above
+    /// 2^53.
+    Number(String, usize),
     String(String),
     Array(Vec<Json>),
     Object(Vec<(String, Json)>),
@@ -393,19 +398,32 @@ impl Json {
         }
     }
 
-    fn as_f64(&self, what: &str) -> Result<f64, String> {
+    fn as_number(&self, what: &str) -> Result<(&str, usize), String> {
         match self {
-            Json::Number(n) => Ok(*n),
+            Json::Number(text, at) => Ok((text, *at)),
             other => Err(format!("{what} must be a JSON number, got {other:?}")),
         }
     }
 
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        let n = self.as_f64(what)?;
-        if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-            return Err(format!("{what} must be a non-negative integer, got {n}"));
-        }
-        Ok(n as u64)
+    fn as_f64(&self, what: &str) -> Result<f64, String> {
+        let (text, at) = self.as_number(what)?;
+        text.parse()
+            .map_err(|_| format!("malformed number {text:?} at byte {at}"))
+    }
+
+    /// The number as an exact non-negative integer of type `T`, parsed
+    /// from its source text.
+    fn as_int<T: TryFrom<u64>>(&self, what: &str) -> Result<T, String> {
+        let (text, at) = self.as_number(what)?;
+        let out_of_range = || format!("{what} {text} at byte {at} is out of range");
+        let n: u64 = text.parse().map_err(|e: std::num::ParseIntError| {
+            if *e.kind() == std::num::IntErrorKind::PosOverflow {
+                out_of_range()
+            } else {
+                format!("{what} must be a non-negative integer, got {text} at byte {at}")
+            }
+        })?;
+        T::try_from(n).map_err(|_| out_of_range())
     }
 }
 
@@ -607,7 +625,7 @@ impl Reader<'_> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "invalid UTF-8 in number".to_string())?;
         text.parse::<f64>()
-            .map(Json::Number)
+            .map(|_| Json::Number(text.to_string(), start))
             .map_err(|_| format!("malformed number {text:?} at byte {start}"))
     }
 }
@@ -768,6 +786,34 @@ mod tests {
         assert_eq!(plan.slow_pct(2), 150);
         assert_eq!(plan.slow_pct(0), 100);
         assert_eq!(plan.slow_pct(99), 100);
+    }
+
+    #[test]
+    fn integer_fields_parse_exactly_and_reject_overflow() {
+        // Above 2^53 an f64 round trip would turn this seed into
+        // 12345678901234567168.
+        let plan = FaultPlan {
+            seed: 12_345_678_901_234_567_891,
+            ..two_tile_plan()
+        };
+        assert_eq!(FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
+        let max = format!("{{\"seed\": {}}}", u64::MAX);
+        assert_eq!(FaultPlan::from_json(&max).unwrap().seed, u64::MAX);
+        // 2^32 + 150 must not wrap to 150.
+        let err = FaultPlan::from_json(
+            "{\"slow_tiles\": [{\"tile\": 0, \"multiplier_pct\": 4294967446}]}",
+        )
+        .unwrap_err();
+        assert_eq!(err, "multiplier_pct 4294967446 at byte 46 is out of range");
+        // 2^64 must not saturate to u64::MAX.
+        let err = FaultPlan::from_json("{\"seed\": 18446744073709551616}").unwrap_err();
+        assert_eq!(err, "seed 18446744073709551616 at byte 9 is out of range");
+        // Integer fields take integer literals only.
+        let err = FaultPlan::from_json("{\"seed\": 1.5}").unwrap_err();
+        assert_eq!(
+            err,
+            "seed must be a non-negative integer, got 1.5 at byte 9"
+        );
     }
 
     #[test]

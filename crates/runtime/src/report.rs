@@ -20,7 +20,7 @@ use crate::serving::ServingReport;
 use leopard_workloads::pipeline::{summarize, TaskResult};
 use std::fmt::Write as _;
 
-fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -38,7 +38,7 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-fn json_f64(v: f64) -> String {
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

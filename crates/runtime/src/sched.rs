@@ -158,6 +158,7 @@ impl ReadyQueue {
     }
 
     /// Admits a job.
+    #[inline]
     pub fn push(&mut self, job: PredictedJob) {
         match self.policy {
             SchedulePolicy::Fifo => self.fifo.push_back(job),
@@ -169,6 +170,7 @@ impl ReadyQueue {
     }
 
     /// Removes and returns the next job under the policy, if any.
+    #[inline]
     pub fn pop(&mut self) -> Option<PredictedJob> {
         match self.policy {
             SchedulePolicy::Fifo => self.fifo.pop_front(),
@@ -178,6 +180,7 @@ impl ReadyQueue {
     }
 
     /// Number of queued jobs.
+    #[inline]
     pub fn len(&self) -> usize {
         match self.policy {
             SchedulePolicy::Fifo => self.fifo.len(),
@@ -187,6 +190,7 @@ impl ReadyQueue {
     }
 
     /// Whether the queue is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -254,6 +258,7 @@ impl DeferralQueue {
     }
 
     /// Parks `job` until the virtual clock reaches `ready_cycle`.
+    #[inline]
     pub fn defer(&mut self, job: PredictedJob, ready_cycle: u64) {
         self.heap.push(DeferredEntry { ready_cycle, job });
         self.deferrals += 1;
@@ -262,6 +267,7 @@ impl DeferralQueue {
 
     /// Removes and returns the next job whose ready cycle is at or before
     /// `clock`, if any.
+    #[inline]
     pub fn pop_ready(&mut self, clock: u64) -> Option<PredictedJob> {
         if self.heap.peek()?.ready_cycle <= clock {
             self.heap.pop().map(|e| e.job)
@@ -272,16 +278,19 @@ impl DeferralQueue {
 
     /// The earliest ready cycle of any parked job — the clock target the
     /// replay must not skip past while the ready queue is empty.
+    #[inline]
     pub fn next_ready_cycle(&self) -> Option<u64> {
         self.heap.peek().map(|e| e.ready_cycle)
     }
 
     /// Number of parked jobs.
+    #[inline]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether no job is parked.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

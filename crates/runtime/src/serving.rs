@@ -19,7 +19,8 @@
 //!    workloads via the shared [`WorkloadCache`](crate::cache)). This
 //!    yields each request's ground-truth *service* cycles: the **layer
 //!    makespan** of the task's head→tile placement
-//!    ([`plan_task_layer`] under [`PipelineOptions::placement`] across
+//!    ([`plan_task_layer`](leopard_workloads::pipeline::plan_task_layer)
+//!    under [`PipelineOptions::placement`] across
 //!    [`PipelineOptions::tiles`] tiles — heads whole while they
 //!    outnumber tiles, load-predicted Q-row splits when tiles would idle).
 //!    Shard simulation goes through
@@ -84,7 +85,7 @@ use leopard_accel::cost::degraded_pruning_rate;
 use leopard_accel::schedule::Placement;
 use leopard_tensor::rng;
 use leopard_transformer::config::ModelFamily;
-use leopard_workloads::pipeline::{plan_task_layer, plan_task_layer_at_rate, PipelineOptions};
+use leopard_workloads::pipeline::{plan_task_layer_at_rate, PipelineOptions};
 use leopard_workloads::suite::TaskDescriptor;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -318,24 +319,12 @@ impl RequestMix {
 /// Resolves a CLI family name (case-insensitive, hyphens optional) to a
 /// [`ModelFamily`].
 fn parse_family(name: &str) -> Result<ModelFamily, String> {
-    let normalized: String = name
-        .trim()
-        .to_lowercase()
-        .chars()
-        .filter(|c| *c != '-')
-        .collect();
+    let normalize = |s: &str| s.trim().to_lowercase().replace('-', "");
+    let wanted = normalize(name);
     ModelFamily::ALL
         .iter()
         .copied()
-        .find(|family| {
-            family
-                .name()
-                .to_lowercase()
-                .chars()
-                .filter(|c| *c != '-')
-                .collect::<String>()
-                == normalized
-        })
+        .find(|family| normalize(family.name()) == wanted)
         .ok_or_else(|| {
             let names: Vec<String> = ModelFamily::ALL
                 .iter()
@@ -534,9 +523,8 @@ pub struct LatencySummary {
     pub max_us: f64,
 }
 
-/// One request the SLO admission controller refused to dispatch: at the
-/// instant the policy picked it, its predicted completion already missed
-/// the deadline.
+/// One request the replay shed: a predicted SLO miss or a transient fault
+/// with no retry left, or a request a permanent outage stranded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShedRecord {
     /// Request id (arrival order).
@@ -648,7 +636,7 @@ pub struct ServingReport {
     /// Per-request accounting of the *admitted* requests, in request-id
     /// (arrival) order.
     pub records: Vec<RequestRecord>,
-    /// Requests the SLO controller shed, in decision order.
+    /// Requests the replay shed, in decision order.
     pub shed: Vec<ShedRecord>,
     /// Queue depth over virtual time, one sample per dispatch.
     pub queue_samples: Vec<QueueSample>,
@@ -713,12 +701,18 @@ impl ServingReport {
 
     /// Served throughput in requests per second of virtual time.
     pub fn throughput_rps(&self) -> f64 {
+        self.per_virtual_second(self.records.len())
+    }
+
+    /// `count` requests over the makespan, per second of virtual time (0
+    /// when nothing was served).
+    fn per_virtual_second(&self, count: usize) -> f64 {
         let makespan = self.makespan_cycles();
         if makespan == 0 {
             return 0.0;
         }
         let seconds = makespan as f64 / (f64::from(self.frequency_mhz) * 1e6);
-        self.records.len() as f64 / seconds
+        count as f64 / seconds
     }
 
     /// Deepest the admission queue ever got (at a dispatch instant).
@@ -823,12 +817,7 @@ impl ServingReport {
     /// finished within the deadline count. Equals
     /// [`throughput_rps`](Self::throughput_rps) when no SLO is set.
     pub fn goodput_rps(&self) -> f64 {
-        let makespan = self.makespan_cycles();
-        if makespan == 0 {
-            return 0.0;
-        }
-        let seconds = makespan as f64 / (f64::from(self.frequency_mhz) * 1e6);
-        self.slo_met() as f64 / seconds
+        self.per_virtual_second(self.slo_met())
     }
 
     /// Time-weighted fraction of the tile array that was live over the
@@ -952,9 +941,9 @@ pub fn generate_requests(suite: &[TaskDescriptor], options: &ServingOptions) -> 
         options.rate_rps > 0.0 && options.rate_rps.is_finite(),
         "arrival rate must be positive and finite"
     );
-    let mean_gap_check = f64::from(options.config.frequency_mhz) * 1e6 / options.rate_rps;
+    let mean_gap_cycles = f64::from(options.config.frequency_mhz) * 1e6 / options.rate_rps;
     assert!(
-        mean_gap_check.is_finite(),
+        mean_gap_cycles.is_finite(),
         "offered rate {} req/s is too small for the {} MHz clock: the mean \
          inter-arrival gap overflows to infinity and the stream degenerates",
         options.rate_rps,
@@ -969,7 +958,6 @@ pub fn generate_requests(suite: &[TaskDescriptor], options: &ServingOptions) -> 
         .rposition(|&w| w > 0.0)
         .expect("task_weights guarantees a positive weight"); // lint:allow(panic-in-library, reason = "task_weights normalizes to a distribution with at least one positive entry by construction")
     let mut r = rng::seeded(options.seed);
-    let mean_gap_cycles = f64::from(options.config.frequency_mhz) * 1e6 / options.rate_rps;
     let mut gaps = GapGenerator::new(options, mean_gap_cycles);
     let mut arrival = 0.0f64;
     (0..options.requests)
@@ -1026,6 +1014,7 @@ fn free_tile_gang(
 /// Live-set state of the tile array during the replay: which tiles are
 /// down, how many are live, and the availability integral — all advanced
 /// deterministically by the fault plan's (sorted) tile events.
+#[derive(Default)]
 struct LiveTiles {
     /// Tiles currently drained out of the live set.
     down: Vec<bool>,
@@ -1033,11 +1022,9 @@ struct LiveTiles {
     live: usize,
     /// Fewest tiles ever simultaneously live.
     min_live: usize,
-    /// ∫ live-tiles d(cycles), charged piecewise at every liveness change
-    /// and settled to the observed span at the end of the run.
-    integral: u128,
-    /// Cycle up to which the integral is charged.
-    last_cycle: u64,
+    /// ∫ live-tiles d(cycles), charged at every liveness change and
+    /// settled to the observed span at the end of the run.
+    integral: CycleIntegral,
     /// Fail events applied (idempotent: a fail on a down tile is a no-op).
     fail_events: u64,
     /// Recover events applied (idempotent likewise).
@@ -1050,75 +1037,586 @@ impl LiveTiles {
             down: vec![false; servers],
             live: servers,
             min_live: servers,
-            integral: 0,
-            last_cycle: 0,
-            fail_events: 0,
-            recover_events: 0,
+            ..Self::default()
         }
     }
 
-    /// Applies every event at or before `clock`, charging the availability
-    /// integral piecewise at each event's own cycle. `next_event` is the
-    /// caller's cursor into the sorted event list.
-    fn apply_until(
-        &mut self,
-        clock: u64,
-        events: &[TileFaultEvent],
-        next_event: &mut usize,
-        telemetry: Option<&Telemetry>,
-    ) {
-        while *next_event < events.len() && events[*next_event].cycle <= clock {
-            let event = events[*next_event];
-            *next_event += 1;
-            self.charge(event.cycle);
-            let applied = match event.kind {
-                TileFaultKind::Fail => {
-                    if self.down[event.tile] {
-                        false
-                    } else {
-                        self.down[event.tile] = true;
-                        self.live -= 1;
-                        self.fail_events += 1;
-                        true
-                    }
-                }
-                TileFaultKind::Recover => {
-                    if self.down[event.tile] {
-                        self.down[event.tile] = false;
-                        self.live += 1;
-                        self.recover_events += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
+    /// Applies one fail/recover event to the live set. Returns false when
+    /// the event changes nothing: a fail on a down tile or a recover on a
+    /// live one.
+    fn apply(&mut self, event: TileFaultEvent) -> bool {
+        let fail = event.kind == TileFaultKind::Fail;
+        if self.down[event.tile] == fail {
+            return false;
+        }
+        self.down[event.tile] = fail;
+        if fail {
+            self.live -= 1;
+            self.fail_events += 1;
             self.min_live = self.min_live.min(self.live);
-            if applied {
-                if let Some(t) = telemetry {
-                    let name = match event.kind {
-                        TileFaultKind::Fail => "inject",
-                        TileFaultKind::Recover => "recover",
-                    };
-                    t.record_instant(
-                        "fault",
-                        name.to_string(),
-                        event.tile as u64,
-                        event.cycle,
-                        vec![("tile", event.tile as u64), ("live", self.live as u64)],
-                    );
-                    t.metrics().incr(&format!("serve.faults.tile_{name}"), 1);
-                }
+        } else {
+            self.live += 1;
+            self.recover_events += 1;
+        }
+        true
+    }
+}
+
+/// ∫ level d(cycles) of a step function on the virtual clock, charged
+/// lazily: before the level changes, the level that held since the last
+/// charge is charged for the elapsed cycles.
+#[derive(Default)]
+struct CycleIntegral {
+    value: u128,
+    /// Cycle up to which `value` is charged.
+    last_cycle: u64,
+}
+
+impl CycleIntegral {
+    /// Charges `level` up to `cycle` (no-op unless `cycle` is ahead of the
+    /// charged point).
+    fn charge(&mut self, cycle: u64, level: usize) {
+        if cycle > self.last_cycle {
+            self.value += u128::from(cycle - self.last_cycle) * level as u128;
+            self.last_cycle = cycle;
+        }
+    }
+}
+
+/// The replay's direct-indexed lookups, built once from phase 1 so that no
+/// event searches. Service and predictions are tabled per `(plan width,
+/// task)` cell ([`cell`](Self::cell)).
+struct Tables {
+    /// Ground-truth layer makespan per cell.
+    service: Vec<u64>,
+    /// Predicted layer makespan (the scheduler's view) per degradation
+    /// level and cell, one row of cells per level: level 0 is full
+    /// service, each level above it tightens the pruning rate.
+    predicted: Vec<u64>,
+    /// Degradation levels priced per cell (0 with degradation off).
+    levels: u32,
+    /// Column of each suite task among the used tasks.
+    task_slot: Vec<usize>,
+    /// First cell of the width row a dispatch at each live tile count
+    /// reads (size `servers + 1`).
+    row_at_live: Vec<usize>,
+    /// One shared name per used task: records and sheds clone the `Arc`.
+    task_names: Vec<Arc<str>>,
+    /// Slow multiplier of each tile, looked up in the plan once.
+    slow_pct_at: Vec<u32>,
+}
+
+impl Tables {
+    /// The cell of `task_index` for a dispatch at `live` live tiles.
+    fn cell(&self, live: usize, task_index: usize) -> usize {
+        self.row_at_live[live] + self.task_slot[task_index]
+    }
+
+    /// Predicted makespan of `cell` at degradation `level`.
+    fn predicted(&self, cell: usize, level: u32) -> u64 {
+        self.predicted[level as usize * self.service.len() + cell]
+    }
+
+    /// The shared name of the suite task at `task_index`.
+    fn task_name(&self, task_index: usize) -> Arc<str> {
+        Arc::clone(&self.task_names[self.task_slot[task_index]])
+    }
+}
+
+/// Phase 2 as a state machine on a monotone virtual clock. `run_serving`
+/// drives one step per settled clock value: [`settle`](Self::settle)
+/// applies tile events and due retries, [`dispatch`](Self::dispatch)
+/// places ready requests on free gangs, [`sample`](Self::sample) extends
+/// the time-series, and [`advance`](Self::advance) moves the clock to the
+/// next event and admits its arrivals. When no event is left,
+/// [`strand`](Self::strand) sheds what a permanent outage stranded and
+/// [`finish`](Self::finish) builds the report.
+///
+/// Every shed goes through [`shed`](Self::shed) and every retry through
+/// [`defer`](Self::defer); telemetry is recorded inside these handlers,
+/// behind the `telemetry` option.
+struct Replay<'a> {
+    options: &'a ServingOptions,
+    suite: &'a [TaskDescriptor],
+    /// The stream, in arrival order; a job's `index` is its request id.
+    requests: &'a [Request],
+    plan: &'a FaultPlan,
+    telemetry: Option<&'a Telemetry>,
+    tables: Tables,
+    /// Tiles one dispatch claims at full capacity: `min(tiles, servers)`.
+    gang_size: usize,
+    clock: u64,
+    /// First request that has not arrived yet.
+    next_arrival: usize,
+    /// Cursor into the plan's sorted tile events.
+    next_event: usize,
+    ready: ReadyQueue,
+    deferred: DeferralQueue,
+    /// Retries each request has consumed.
+    attempts: Vec<u32>,
+    live_tiles: LiveTiles,
+    tile_free_at: Vec<u64>,
+    tile_busy_cycles: Vec<u64>,
+    /// ∫ queue-depth d(cycles), charged before every queue mutation.
+    depth: CycleIntegral,
+    /// Pushed in dispatch order, sorted by id once in `finish`.
+    records: Vec<RequestRecord>,
+    shed: Vec<ShedRecord>,
+    queue_samples: Vec<QueueSample>,
+    series: Vec<ReplaySample>,
+    transient_faults: u64,
+    slo_deferrals: u64,
+    /// Scratch for gang selection, reused by every dispatch attempt.
+    gang: Vec<usize>,
+}
+
+impl<'a> Replay<'a> {
+    fn new(
+        options: &'a ServingOptions,
+        suite: &'a [TaskDescriptor],
+        requests: &'a [Request],
+        plan: &'a FaultPlan,
+        telemetry: Option<&'a Telemetry>,
+        tables: Tables,
+    ) -> Self {
+        Self {
+            gang_size: options.pipeline.tiles.max(1).min(options.servers),
+            clock: 0,
+            next_arrival: 0,
+            next_event: 0,
+            ready: ReadyQueue::new(options.policy),
+            deferred: DeferralQueue::new(),
+            attempts: vec![0; requests.len()],
+            live_tiles: LiveTiles::new(options.servers),
+            tile_free_at: vec![0; options.servers],
+            tile_busy_cycles: vec![0; options.servers],
+            depth: CycleIntegral::default(),
+            records: Vec::new(),
+            shed: Vec::new(),
+            queue_samples: Vec::with_capacity(requests.len()),
+            series: Vec::new(),
+            transient_faults: 0,
+            slo_deferrals: 0,
+            gang: Vec::with_capacity(options.servers),
+            options,
+            suite,
+            requests,
+            plan,
+            telemetry,
+            tables,
+        }
+    }
+
+    /// Settles the current instant before any dispatch: liveness changes
+    /// at cycle C are visible to dispatches at C, and a request whose
+    /// backoff expires at C re-enters the policy queue at C.
+    fn settle(&mut self) {
+        let due = self.plan.tile_events.get(self.next_event);
+        if due.is_some_and(|e| e.cycle <= self.clock) {
+            self.apply_tile_events(self.clock);
+        }
+        while let Some(job) = self.deferred.pop_ready(self.clock) {
+            self.ready.push(job);
+        }
+    }
+
+    /// Applies every tile event at or before `until`, charging the
+    /// availability integral piecewise at each event's own cycle.
+    fn apply_tile_events(&mut self, until: u64) {
+        let events = &self.plan.tile_events;
+        while let Some(&event) = events.get(self.next_event).filter(|e| e.cycle <= until) {
+            self.next_event += 1;
+            self.live_tiles
+                .integral
+                .charge(event.cycle, self.live_tiles.live);
+            if !self.live_tiles.apply(event) {
+                continue;
+            }
+            if let Some(t) = self.telemetry {
+                let name = match event.kind {
+                    TileFaultKind::Fail => "inject",
+                    TileFaultKind::Recover => "recover",
+                };
+                let (tile, live) = (event.tile as u64, self.live_tiles.live as u64);
+                let args = vec![("tile", tile), ("live", live)];
+                t.record_instant("fault", name.to_string(), tile, event.cycle, args);
+                t.metrics().incr(&format!("serve.faults.tile_{name}"), 1);
             }
         }
     }
 
-    /// Charges the availability integral up to `cycle` at the current live
-    /// count (no-op when `cycle` is not ahead of the charged point).
-    fn charge(&mut self, cycle: u64) {
-        if cycle > self.last_cycle {
-            self.integral += u128::from(cycle - self.last_cycle) * self.live as u128;
-            self.last_cycle = cycle;
+    /// Dispatches ready requests in policy order onto the cheapest gang of
+    /// live tiles by `(free_at, index)` until the queue empties, no tile
+    /// is live, or that gang is still busy. Returns the instant the busy
+    /// gang frees up: nothing touches the tiles or the live set before the
+    /// next-clock step, so [`advance`](Self::advance) reuses it as is.
+    fn dispatch(&mut self) -> Option<u64> {
+        while self.live_tiles.live > 0 && !self.ready.is_empty() {
+            let take = self.gang_size.min(self.live_tiles.live);
+            let free_at = free_tile_gang(
+                &self.tile_free_at,
+                &self.live_tiles.down,
+                take,
+                &mut self.gang,
+            );
+            if free_at > self.clock {
+                return Some(free_at);
+            }
+            self.depth.charge(self.clock, self.ready.len());
+            let Some(job) = self.ready.pop() else { break };
+            let attempt = self.attempts[job.index];
+            // Transient dispatch fault? Decided by the counter-addressed
+            // seeded stream — a pure function of (request, attempt), so
+            // retry reordering never perturbs the pattern.
+            if self.plan.transient_fails(job.index, attempt) {
+                self.transient_faults += 1;
+                if let Some(t) = self.telemetry {
+                    t.record_instant(
+                        "fault",
+                        "transient".to_string(),
+                        self.options.servers as u64,
+                        self.clock,
+                        vec![("id", job.index as u64), ("attempt", u64::from(attempt))],
+                    );
+                    t.metrics().incr("serve.faults.transient", 1);
+                }
+                if attempt < self.options.retry_max {
+                    self.defer(job, attempt);
+                } else {
+                    self.shed(job, "serve.shed.transient_fault");
+                }
+                continue;
+            }
+            let task_index = self.requests[job.index].task_index;
+            let cell = self.tables.cell(self.live_tiles.live, task_index);
+            if let Some(level) = self.admit(job, cell) {
+                self.start(job, cell, level);
+            }
+        }
+        None
+    }
+
+    /// SLO admission: the degradation level to serve `job` at (0 = full
+    /// service), or `None` once it is deferred or shed. The controller sees
+    /// only headroom-padded cost-model predictions, never ground truth. A
+    /// predicted miss tries the degradation ladder, then a deferral, and
+    /// sheds only with the retry budget exhausted.
+    fn admit(&mut self, job: PredictedJob, cell: usize) -> Option<u32> {
+        let Some(slo) = self.options.slo_cycles else {
+            return Some(0);
+        };
+        // Saturating: a huge SLO or headroom pins the sum at `u64::MAX`
+        // instead of wrapping past the deadline.
+        let deadline = self.requests[job.index].arrival_cycle.saturating_add(slo);
+        let fits = |level: u32| {
+            let predicted = self.tables.predicted(cell, level);
+            let padded = (predicted as f64 * self.options.slo_headroom) as u64;
+            self.clock.saturating_add(padded) <= deadline
+        };
+        let level = (0..=self.tables.levels).find(|&level| fits(level));
+        if level.is_some() {
+            return level;
+        }
+        let attempt = self.attempts[job.index];
+        if attempt < self.options.retry_max {
+            self.slo_deferrals += 1;
+            self.defer(job, attempt);
+        } else if attempt > 0 {
+            self.shed(job, "serve.shed.retries_exhausted");
+        } else {
+            self.shed(job, "serve.shed.predicted_slo_miss");
+        }
+        None
+    }
+
+    /// Starts `job` on the selected gang at degradation `level` and
+    /// records it. The gang is occupied for the whole layer makespan.
+    fn start(&mut self, job: PredictedJob, cell: usize, level: u32) {
+        let request = self.requests[job.index];
+        let task = &self.suite[request.task_index];
+        let base_service = self.tables.service[cell];
+        let mut service_cycles = if level == 0 {
+            base_service
+        } else {
+            // Degraded ground truth: the base makespan scaled by the cost
+            // model's own degraded/full prediction ratio — integer
+            // arithmetic, so deterministic across platforms.
+            let full = self.tables.predicted(cell, 0).max(1);
+            let cheap = self.tables.predicted(cell, level);
+            ((u128::from(base_service) * u128::from(cheap) / u128::from(full)).max(1)) as u64
+        };
+        // A gang advances at its slowest member's pace: the worst slow
+        // multiplier across the gang stretches the service (ceiling
+        // division keeps it integer cycles).
+        let slowest = self.gang.iter().map(|&tile| self.tables.slow_pct_at[tile]);
+        if let Some(slow_pct) = slowest.max().filter(|&pct| pct > 100) {
+            service_cycles =
+                (u128::from(service_cycles) * u128::from(slow_pct)).div_ceil(100) as u64;
+        }
+        let finish = self.clock + service_cycles;
+        for &tile in &self.gang {
+            self.tile_free_at[tile] = finish;
+            self.tile_busy_cycles[tile] += service_cycles;
+        }
+        if let Some(t) = self.telemetry {
+            // One span on the gang's lead tile lane (first by
+            // `(free_at, index)`) — at one tile per request this is
+            // exactly the dispatched tile of the legacy model.
+            t.record_virtual_span(
+                "dispatch",
+                task.name.clone(),
+                self.gang[0] as u64,
+                self.clock,
+                service_cycles,
+                vec![
+                    ("id", request.id as u64),
+                    ("task", task.id as u64),
+                    ("wait", self.clock - request.arrival_cycle),
+                    ("predicted", job.predicted_cycles),
+                ],
+            );
+            if level > 0 {
+                t.record_instant(
+                    "degrade",
+                    task.name.clone(),
+                    self.gang[0] as u64,
+                    self.clock,
+                    vec![("id", request.id as u64), ("level", u64::from(level))],
+                );
+                t.metrics().incr("serve.degraded", 1);
+            }
+        }
+        self.queue_samples.push(QueueSample {
+            cycle: self.clock,
+            depth: self.ready.len(),
+        });
+        self.records.push(RequestRecord {
+            id: request.id,
+            task_id: task.id,
+            task_name: self.tables.task_name(request.task_index),
+            arrival_cycle: request.arrival_cycle,
+            start_cycle: self.clock,
+            finish_cycle: finish,
+            predicted_cycles: job.predicted_cycles,
+            service_cycles,
+            attempts: self.attempts[job.index],
+            degraded: level,
+        });
+    }
+
+    /// Defers `job` for its seeded exponential backoff and charges the
+    /// retry to it. The retry span is the deferral window, rendered on the
+    /// lane past the last tile.
+    fn defer(&mut self, job: PredictedJob, attempt: u32) {
+        self.attempts[job.index] = attempt + 1;
+        let base = self.options.backoff_base_cycles;
+        let delay = self.plan.backoff_cycles(base, job.index, attempt);
+        if let Some(t) = self.telemetry {
+            let task = &self.suite[self.requests[job.index].task_index];
+            t.record_virtual_span(
+                "retry",
+                task.name.clone(),
+                self.options.servers as u64,
+                self.clock,
+                delay,
+                vec![
+                    ("id", job.index as u64),
+                    ("attempt", u64::from(attempt + 1)),
+                ],
+            );
+            t.metrics().incr("serve.retries", 1);
+        }
+        self.deferred.defer(job, self.clock.saturating_add(delay));
+    }
+
+    /// Sheds `job` at the current instant, counting it under the
+    /// `serve.shed.*` metric `counter`. Sheds render as instants on the
+    /// lane past the last tile — they never occupied one.
+    fn shed(&mut self, job: PredictedJob, counter: &str) {
+        let request = self.requests[job.index];
+        let task = &self.suite[request.task_index];
+        self.shed.push(ShedRecord {
+            id: request.id,
+            task_id: task.id,
+            task_name: self.tables.task_name(request.task_index),
+            arrival_cycle: request.arrival_cycle,
+            shed_cycle: self.clock,
+            predicted_cycles: job.predicted_cycles,
+            attempts: self.attempts[job.index],
+        });
+        if let Some(t) = self.telemetry {
+            t.record_instant(
+                "shed",
+                task.name.clone(),
+                self.options.servers as u64,
+                self.clock,
+                vec![
+                    ("id", request.id as u64),
+                    ("predicted", job.predicted_cycles),
+                ],
+            );
+            t.metrics().incr(counter, 1);
+        }
+    }
+
+    /// Appends a time-series point at the settled instant when the
+    /// `(queue depth, in-flight)` pair changed. Each clock value settles
+    /// exactly once: the clock strictly advances per step.
+    fn sample(&mut self) {
+        let (clock, queue_depth) = (self.clock, self.ready.len());
+        let in_flight = self.tile_free_at.iter().filter(|&&t| t > clock).count();
+        let last = self.series.last();
+        if last.is_some_and(|s| (s.queue_depth, s.in_flight) == (queue_depth, in_flight)) {
+            return;
+        }
+        self.series.push(ReplaySample {
+            cycle: self.clock,
+            queue_depth,
+            in_flight,
+        });
+        if let Some(t) = self.telemetry {
+            t.record_counter("queue_depth", self.clock, queue_depth as u64);
+            t.record_counter("in_flight", self.clock, in_flight as u64);
+        }
+    }
+
+    /// Moves the clock to the next event and admits every request that has
+    /// arrived by then, so the policy sees exactly the requests that have
+    /// arrived by dispatch time, never more. The next event is the
+    /// earliest of the next arrival, the instant `stalled_until` the busy
+    /// gang frees up, the next due retry, and the next tile event (only
+    /// while work remains to be affected by it). Returns false, leaving
+    /// the clock as is, when there is no next event.
+    fn advance(&mut self, stalled_until: Option<u64>) -> bool {
+        let mut next_clock: Option<u64> = None;
+        let mut earlier = |candidate: u64| {
+            next_clock = Some(next_clock.map_or(candidate, |n| n.min(candidate)));
+        };
+        let arrivals_left = self.next_arrival < self.requests.len();
+        if arrivals_left {
+            earlier(self.requests[self.next_arrival].arrival_cycle);
+        }
+        if let Some(next_free) = stalled_until {
+            earlier(next_free);
+        }
+        if let Some(ready_cycle) = self.deferred.next_ready_cycle() {
+            earlier(ready_cycle);
+        }
+        let work_remains = arrivals_left || !self.ready.is_empty() || !self.deferred.is_empty();
+        if work_remains && self.next_event < self.plan.tile_events.len() {
+            earlier(self.plan.tile_events[self.next_event].cycle);
+        }
+        let Some(target) = next_clock else {
+            return false;
+        };
+        self.clock = self.clock.max(target);
+        self.depth.charge(self.clock, self.ready.len());
+        while let Some(&request) = self.requests.get(self.next_arrival) {
+            if request.arrival_cycle > self.clock {
+                break;
+            }
+            // Arrivals are predicted at full capacity.
+            let cell = self.tables.cell(self.options.servers, request.task_index);
+            self.ready.push(PredictedJob {
+                index: request.id,
+                predicted_cycles: self.tables.predicted(cell, 0),
+            });
+            self.next_arrival += 1;
+        }
+        true
+    }
+
+    /// Sheds what a permanent outage stranded once no event is left: every
+    /// tile is down with no recovery ahead, arrivals are exhausted, and no
+    /// retry can ever dispatch. The ready queue goes in policy order, then
+    /// the deferrals in (ready cycle, arrival) order.
+    fn strand(&mut self) {
+        while let Some(job) = self.ready.pop() {
+            self.shed(job, "serve.shed.no_live_tiles");
+        }
+        for job in self.deferred.drain_all() {
+            self.shed(job, "serve.shed.no_live_tiles");
+        }
+    }
+
+    /// Settles the replay's accounting and builds the report.
+    fn finish(mut self, runner: &SuiteRunner, start: Instant) -> ServingReport {
+        // Ids are unique, so this restores arrival order exactly.
+        self.records.sort_unstable_by_key(|r| r.id);
+        let last_finish = self.records.iter().map(|r| r.finish_cycle).max();
+        let observed_cycles = last_finish.unwrap_or(0).max(self.clock);
+        // Settle the availability integral to the end of the observed
+        // span, applying any tile events that fire while the last requests
+        // drain.
+        self.apply_tile_events(observed_cycles);
+        self.live_tiles
+            .integral
+            .charge(observed_cycles, self.live_tiles.live);
+        let options = self.options;
+        let ft_active = options.fault_tolerance_active();
+        if let Some(t) = self.telemetry {
+            let metrics = t.metrics();
+            let (admitted, shed) = (self.records.len() as u64, self.shed.len() as u64);
+            metrics.incr("serve.requests.offered", admitted + shed);
+            metrics.incr("serve.requests.admitted", admitted);
+            metrics.incr("serve.requests.shed", shed);
+            metrics.set_gauge("serve.queue.peak", self.ready.peak_len() as f64);
+            metrics.set_gauge("serve.queue.pushes", self.ready.pushes() as f64);
+            for (tile, &busy) in self.tile_busy_cycles.iter().enumerate() {
+                metrics.set_gauge(&format!("serve.tile{tile:02}.busy_cycles"), busy as f64);
+            }
+            for record in &self.records {
+                metrics.observe(
+                    "serve.latency_cycles",
+                    &LATENCY_HISTOGRAM_BOUNDS,
+                    record.latency_cycles(),
+                );
+            }
+            // Fault-tolerance gauges only exist when the machinery ran, so
+            // fault-free metric snapshots stay byte-identical to the plain
+            // engine's.
+            if ft_active {
+                metrics.set_gauge("serve.deferred.peak", self.deferred.peak_len() as f64);
+                metrics.set_gauge("serve.deferred.total", self.deferred.deferrals() as f64);
+                metrics.set_gauge("serve.tiles.min_live", self.live_tiles.min_live as f64);
+            }
+        }
+        let fault_summary = ft_active.then(|| FaultSummary {
+            retry_max: options.retry_max,
+            backoff_base_cycles: options.backoff_base_cycles,
+            degrade: options.degrade,
+            fail_rate: self.plan.fail_rate,
+            transient_faults: self.transient_faults,
+            retries: self.deferred.deferrals(),
+            slo_deferrals: self.slo_deferrals,
+            degraded: self.records.iter().filter(|r| r.degraded > 0).count() as u64,
+            shed_after_retries: self.shed.iter().filter(|s| s.attempts > 0).count() as u64,
+            tile_fail_events: self.live_tiles.fail_events,
+            tile_recover_events: self.live_tiles.recover_events,
+            min_live_tiles: self.live_tiles.min_live,
+            live_cycle_integral: self.live_tiles.integral.value,
+        });
+        ServingReport {
+            policy: options.policy,
+            arrivals: options.arrivals,
+            mix_label: options.mix.label(),
+            slo_cycles: options.slo_cycles,
+            servers: options.servers,
+            threads: runner.threads(),
+            tiles: options.pipeline.tiles.max(1),
+            placement: options.pipeline.placement,
+            frequency_mhz: options.config.frequency_mhz,
+            records: self.records,
+            shed: self.shed,
+            queue_samples: self.queue_samples,
+            series: self.series,
+            tile_busy_cycles: self.tile_busy_cycles,
+            depth_cycle_integral: self.depth.value,
+            observed_cycles,
+            wall: start.elapsed(),
+            cache: runner.cache().stats(),
+            metrics: self.telemetry.map(|t| t.metrics().snapshot()),
+            fault_summary,
         }
     }
 }
@@ -1163,7 +1661,6 @@ pub fn run_serving(
             .expect("fault plan failed validation"), // lint:allow(panic-in-library, reason = "documented panic contract: the CLI validates plans at parse time, so a library caller reaching this handed over an invalid plan")
         None => FaultPlan::default(),
     };
-    let ft_active = options.fault_tolerance_active();
     // lint:allow(wall-clock-in-virtual-path, reason = "wall-seconds run footer only; the serving clock and every latency figure are virtual cycles")
     let start = Instant::now();
     let requests = generate_requests(suite, options);
@@ -1183,588 +1680,90 @@ pub fn run_serving(
     let tiles = options.pipeline.tiles.max(1);
     let gang_size = tiles.min(options.servers);
     let mut widths: Vec<usize> = vec![tiles];
-    if fault_plan.has_tile_events() {
-        // Walk the event timeline once to enumerate every live count the
-        // run can see; widths below the gang size constrain capacity and
-        // need their own ground truth.
-        let mut down = vec![false; options.servers];
-        let mut live = options.servers;
-        for event in &fault_plan.tile_events {
-            match event.kind {
-                TileFaultKind::Fail => {
-                    if !down[event.tile] {
-                        down[event.tile] = true;
-                        live -= 1;
-                    }
-                }
-                TileFaultKind::Recover => {
-                    if down[event.tile] {
-                        down[event.tile] = false;
-                        live += 1;
-                    }
-                }
-            }
-            if live > 0 && live < gang_size {
-                widths.push(live);
-            }
+    // Walk the event timeline once to enumerate every live count the run
+    // can see; widths below the gang size constrain capacity and need
+    // their own ground truth.
+    let mut walk = LiveTiles::new(options.servers);
+    for &event in &fault_plan.tile_events {
+        walk.apply(event);
+        if walk.live > 0 && walk.live < gang_size {
+            widths.push(walk.live);
         }
-        widths.sort_unstable();
-        widths.dedup();
     }
-    let tasks: Vec<TaskDescriptor> = used.iter().map(|&i| suite[i].clone()).collect();
+    widths.sort_unstable();
+    widths.dedup();
     let jobs: Vec<(usize, TaskDescriptor)> = widths
         .iter()
-        .flat_map(|&width| tasks.iter().map(move |task| (width, task.clone())))
+        .flat_map(|&width| used.iter().map(move |&i| (width, suite[i].clone())))
         .collect();
     let service = measure_layer_makespans(runner, jobs, &options.pipeline, &options.config);
-    let telemetry = runner.telemetry().cloned();
-    // Direct-indexed lookups, so the replay never searches: a request's
-    // (width, task) cell is `row_at_live[live] + task_slot[task_index]`.
-    // The plan width is a function of the live tile count (the configured
-    // tile count at full capacity, the whole live set below the gang
-    // size), so the row table is indexed by live count; every reduced live
-    // count the timeline can reach is in `widths`, and unreachable entries
-    // are never read.
-    let mut task_slot = vec![0usize; suite.len()];
-    for (slot, &task_index) in used.iter().enumerate() {
-        task_slot[task_index] = slot;
-    }
-    let width_row = |width: usize| widths.binary_search(&width).unwrap_or(0) * used.len();
-    let row_at_live: Vec<usize> = (0..=options.servers)
-        .map(|live| width_row(if live >= gang_size { tiles } else { live }))
-        .collect();
-    let full_row = width_row(tiles);
-    // One shared name per used task: records and sheds clone the `Arc`.
-    let task_names: Vec<Arc<str>> = used
-        .iter()
-        .map(|&i| Arc::from(suite[i].name.as_str()))
-        .collect();
-    // Per-tile slow multipliers, looked up in the plan once, not per
-    // dispatch.
-    let slow_pct_at: Vec<u32> = (0..options.servers)
-        .map(|tile| fault_plan.slow_pct(tile))
-        .collect();
 
     // --- Phase 2: replay the arrival process in virtual time. Predictions,
     // like service cycles, are per distinct (width, task) and come from the
     // same layer plan (its predicted makespan — the quantity placement
     // optimized), so the scheduler's view shrinks with the tile count just
-    // as service does; requests share them.
-    let predicted_table: Vec<u64> = widths
-        .iter()
-        .flat_map(|&width| {
-            used.iter().map(move |&i| {
-                plan_task_layer(&suite[i], &options.pipeline, &options.config, width)
-                    .predicted_makespan_cycles()
-            })
-        })
-        .collect();
-    // Degradation ladder prices, plan-only (no simulation): the predicted
-    // makespan at each tightened pruning rate, per (width, task, level).
-    let degrade_levels = if options.degrade { DEGRADE_LEVELS } else { 0 };
-    let degraded_table: Vec<u64> = widths
-        .iter()
-        .flat_map(|&width| {
-            used.iter().flat_map(move |&i| {
-                (1..=degrade_levels).map(move |level| {
-                    let rate = degraded_pruning_rate(suite[i].paper_pruning_rate as f64, level);
-                    plan_task_layer_at_rate(
-                        &suite[i],
-                        &options.pipeline,
-                        &options.config,
-                        width,
-                        rate,
-                    )
-                    .predicted_makespan_cycles()
-                })
-            })
-        })
-        .collect();
-    let degraded_predicted_at = |cell: usize, level: u32| {
-        degraded_table[cell * degrade_levels as usize + (level - 1) as usize]
-    };
-    let mut ready = ReadyQueue::new(options.policy);
-    let mut deferred = DeferralQueue::new();
-    let mut attempts: Vec<u32> = vec![0; requests.len()];
-    let mut live_tiles = LiveTiles::new(options.servers);
-    let mut next_event = 0usize;
-    let mut transient_faults = 0u64;
-    let mut slo_deferrals = 0u64;
-    let mut degraded_count = 0u64;
-    let mut shed_after_retries = 0u64;
-    let mut tile_free_at = vec![0u64; options.servers];
-    let mut next_arrival = 0usize;
-    // Records are pushed in dispatch order and sorted by id once at the
-    // end; sheds never occupy a slot.
-    let mut records: Vec<RequestRecord> = Vec::new();
-    // Scratch for gang selection, reused by every dispatch attempt.
-    let mut gang: Vec<usize> = Vec::with_capacity(options.servers);
-    let mut shed: Vec<ShedRecord> = Vec::new();
-    let mut queue_samples = Vec::with_capacity(requests.len());
-    // Observability state, all on the virtual clock (deterministic). The
-    // depth integral advances lazily: before every queue mutation, the
-    // depth that held since `depth_last_cycle` is charged for the elapsed
-    // cycles.
-    let mut tile_busy_cycles = vec![0u64; options.servers];
-    let mut depth_cycle_integral: u128 = 0;
-    let mut depth_last_cycle = 0u64;
-    let mut series: Vec<ReplaySample> = Vec::new();
-
-    // Event loop on a monotone virtual clock. At each clock value: dispatch
-    // ready requests onto every free tile **gang** — a request's layer
-    // schedule spans `min(tiles, servers)` tiles, so dispatch claims the
-    // gang-size cheapest tiles by `(free_at, index)` (ties toward the lower
-    // tile index, so the replay is deterministic) and occupies all of them
-    // for the layer makespan. At one tile per request this reduces exactly
-    // to the legacy one-request-per-server model. The clock then advances
-    // to the next event — the earlier of the next arrival and the next
-    // gang-free instant. Arrivals are always admitted before a later
-    // dispatch is decided, so the policy sees exactly the requests that
-    // have arrived by dispatch time, never more. With an SLO set, a picked
-    // request whose *predicted* completion (`clock + headroom-padded
-    // prediction`) already misses its deadline (`arrival + slo`) is shed
-    // instead of dispatched — the controller sees only cost-model
-    // predictions (padded by SLO_PREDICTION_HEADROOM against residual
-    // model error), never ground truth.
-    let mut clock = 0u64;
-    loop {
-        // Fault events and due retries settle before any dispatch at this
-        // instant: liveness changes at cycle C are visible to dispatches
-        // at C, and a request whose backoff expires at C re-enters the
-        // policy queue at C.
-        live_tiles.apply_until(
-            clock,
-            &fault_plan.tile_events,
-            &mut next_event,
-            telemetry.as_deref(),
-        );
-        while let Some(job) = deferred.pop_ready(clock) {
-            ready.push(job);
-        }
-        // The instant the cheapest gang frees up when dispatch stalls on a
-        // busy gang. Nothing touches the tiles or the live set between the
-        // stall and the next-clock step, so it is reused there as is.
-        let mut stalled_until: Option<u64> = None;
-        while !ready.is_empty() && live_tiles.live > 0 {
-            let take = gang_size.min(live_tiles.live);
-            let free_at = free_tile_gang(&tile_free_at, &live_tiles.down, take, &mut gang);
-            if free_at > clock {
-                stalled_until = Some(free_at);
-                break;
-            }
-            depth_cycle_integral += u128::from(clock - depth_last_cycle) * ready.len() as u128;
-            depth_last_cycle = clock;
-            let job = ready.pop().expect("queue checked non-empty"); // lint:allow(panic-in-library, reason = "the dispatch loop only reaches this pop after checking the ready queue is non-empty")
-            let request = requests[job.index];
-            let task = &suite[request.task_index];
-            let attempt = attempts[job.index];
-            let slot = task_slot[request.task_index];
-            // The (plan width, task) cell: full-capacity plans use the
-            // configured tile count; below it, the whole live set.
-            let cell = row_at_live[live_tiles.live] + slot;
-            // Transient dispatch fault? Decided by the counter-addressed
-            // seeded stream — a pure function of (request, attempt), so
-            // retry reordering never perturbs the pattern.
-            if fault_plan.transient_fails(job.index, attempt) {
-                transient_faults += 1;
-                if let Some(t) = &telemetry {
-                    t.record_instant(
-                        "fault",
-                        "transient".to_string(),
-                        options.servers as u64,
-                        clock,
-                        vec![("id", request.id as u64), ("attempt", u64::from(attempt))],
-                    );
-                    t.metrics().incr("serve.faults.transient", 1);
-                }
-                if attempt < options.retry_max {
-                    attempts[job.index] = attempt + 1;
-                    let delay =
-                        fault_plan.backoff_cycles(options.backoff_base_cycles, job.index, attempt);
-                    if let Some(t) = &telemetry {
-                        // The retry span is the deferral window, rendered
-                        // on the lane past the last tile.
-                        t.record_virtual_span(
-                            "retry",
-                            task.name.clone(),
-                            options.servers as u64,
-                            clock,
-                            delay,
-                            vec![
-                                ("id", request.id as u64),
-                                ("attempt", u64::from(attempt + 1)),
-                            ],
-                        );
-                        t.metrics().incr("serve.retries", 1);
-                    }
-                    deferred.defer(job, clock.saturating_add(delay));
-                } else {
-                    shed.push(ShedRecord {
-                        id: request.id,
-                        task_id: task.id,
-                        task_name: Arc::clone(&task_names[slot]),
-                        arrival_cycle: request.arrival_cycle,
-                        shed_cycle: clock,
-                        predicted_cycles: job.predicted_cycles,
-                        attempts: attempt,
-                    });
-                    if attempt > 0 {
-                        shed_after_retries += 1;
-                    }
-                    if let Some(t) = &telemetry {
-                        t.record_instant(
-                            "shed",
-                            task.name.clone(),
-                            options.servers as u64,
-                            clock,
-                            vec![
-                                ("id", request.id as u64),
-                                ("predicted", job.predicted_cycles),
-                            ],
-                        );
-                        t.metrics().incr("serve.shed.transient_fault", 1);
-                    }
-                }
-                continue;
-            }
-            // SLO admission: shed-only runs keep the original semantics;
-            // with fault tolerance, a predicted miss first tries the
-            // degradation ladder, then a deferral, and sheds only with
-            // the retry budget exhausted.
-            let mut level = 0u32;
-            if let Some(slo) = options.slo_cycles {
-                // Saturating: a huge SLO or headroom pins the sum at
-                // `u64::MAX` instead of wrapping past the deadline.
-                let deadline = request.arrival_cycle.saturating_add(slo);
-                let padded = (predicted_table[cell] as f64 * options.slo_headroom) as u64;
-                if clock.saturating_add(padded) > deadline {
-                    if options.degrade {
-                        for candidate in 1..=DEGRADE_LEVELS {
-                            let degraded_padded = (degraded_predicted_at(cell, candidate) as f64
-                                * options.slo_headroom)
-                                as u64;
-                            if clock.saturating_add(degraded_padded) <= deadline {
-                                level = candidate;
-                                break;
-                            }
-                        }
-                    }
-                    if level == 0 {
-                        if attempt < options.retry_max {
-                            attempts[job.index] = attempt + 1;
-                            slo_deferrals += 1;
-                            let delay = fault_plan.backoff_cycles(
-                                options.backoff_base_cycles,
-                                job.index,
-                                attempt,
-                            );
-                            if let Some(t) = &telemetry {
-                                t.record_virtual_span(
-                                    "retry",
-                                    task.name.clone(),
-                                    options.servers as u64,
-                                    clock,
-                                    delay,
-                                    vec![
-                                        ("id", request.id as u64),
-                                        ("attempt", u64::from(attempt + 1)),
-                                    ],
-                                );
-                                t.metrics().incr("serve.retries", 1);
-                            }
-                            deferred.defer(job, clock.saturating_add(delay));
-                            continue;
-                        }
-                        shed.push(ShedRecord {
-                            id: request.id,
-                            task_id: task.id,
-                            task_name: Arc::clone(&task_names[slot]),
-                            arrival_cycle: request.arrival_cycle,
-                            shed_cycle: clock,
-                            predicted_cycles: job.predicted_cycles,
-                            attempts: attempt,
-                        });
-                        if attempt > 0 {
-                            shed_after_retries += 1;
-                        }
-                        if let Some(t) = &telemetry {
-                            // Sheds render as instants on the lane past the
-                            // last tile — they never occupied one.
-                            t.record_instant(
-                                "shed",
-                                task.name.clone(),
-                                options.servers as u64,
-                                clock,
-                                vec![
-                                    ("id", request.id as u64),
-                                    ("predicted", job.predicted_cycles),
-                                ],
-                            );
-                            if attempt > 0 {
-                                t.metrics().incr("serve.shed.retries_exhausted", 1);
-                            } else {
-                                t.metrics().incr("serve.shed.predicted_slo_miss", 1);
-                            }
-                        }
-                        continue;
-                    }
-                }
-            }
-            let base_service = service[cell];
-            let mut service_cycles = if level == 0 {
-                base_service
-            } else {
-                // Degraded ground truth: the base makespan scaled by the
-                // cost model's own degraded/full prediction ratio —
-                // integer arithmetic, so deterministic across platforms.
-                degraded_count += 1;
-                let full = predicted_table[cell].max(1);
-                let cheap = degraded_predicted_at(cell, level);
-                ((u128::from(base_service) * u128::from(cheap) / u128::from(full)).max(1)) as u64
-            };
-            // A gang advances at its slowest member's pace: the worst slow
-            // multiplier across the gang stretches the service (ceiling
-            // division keeps it integer cycles).
-            let slow_pct = gang
-                .iter()
-                .map(|&tile| slow_pct_at[tile])
-                .max()
-                .unwrap_or(100);
-            if slow_pct > 100 {
-                service_cycles =
-                    (u128::from(service_cycles) * u128::from(slow_pct)).div_ceil(100) as u64;
-            }
-            let finish = clock + service_cycles;
-            for &tile in &gang {
-                tile_free_at[tile] = finish;
-                tile_busy_cycles[tile] += service_cycles;
-            }
-            if let Some(t) = &telemetry {
-                // One span on the gang's lead tile lane (first by
-                // `(free_at, index)`) — at one tile per request this is
-                // exactly the dispatched tile of the legacy model.
-                t.record_virtual_span(
-                    "dispatch",
-                    task.name.clone(),
-                    gang[0] as u64,
-                    clock,
-                    service_cycles,
-                    vec![
-                        ("id", request.id as u64),
-                        ("task", task.id as u64),
-                        ("wait", clock - request.arrival_cycle),
-                        ("predicted", job.predicted_cycles),
-                    ],
+    // as service does; requests share them. With degradation on, each cell
+    // also prices the ladder, plan-only (no simulation): the predicted
+    // makespan at each tightened pruning rate.
+    let levels = if options.degrade { DEGRADE_LEVELS } else { 0 };
+    let mut predicted = Vec::with_capacity((levels as usize + 1) * service.len());
+    for level in 0..=levels {
+        for &width in &widths {
+            for &i in &used {
+                let paper_rate = suite[i].paper_pruning_rate as f64;
+                let rate = match level {
+                    0 => paper_rate,
+                    _ => degraded_pruning_rate(paper_rate, level),
+                };
+                let plan = plan_task_layer_at_rate(
+                    &suite[i],
+                    &options.pipeline,
+                    &options.config,
+                    width,
+                    rate,
                 );
-                if level > 0 {
-                    t.record_instant(
-                        "degrade",
-                        task.name.clone(),
-                        gang[0] as u64,
-                        clock,
-                        vec![("id", request.id as u64), ("level", u64::from(level))],
-                    );
-                    t.metrics().incr("serve.degraded", 1);
-                }
-            }
-            queue_samples.push(QueueSample {
-                cycle: clock,
-                depth: ready.len(),
-            });
-            records.push(RequestRecord {
-                id: request.id,
-                task_id: task.id,
-                task_name: Arc::clone(&task_names[slot]),
-                arrival_cycle: request.arrival_cycle,
-                start_cycle: clock,
-                finish_cycle: finish,
-                predicted_cycles: job.predicted_cycles,
-                service_cycles,
-                attempts: attempt,
-                degraded: level,
-            });
-        }
-        // Time-series sample at the settled instant (each clock value
-        // settles exactly once: the clock strictly advances per outer
-        // iteration).
-        let queue_depth = ready.len();
-        let in_flight = tile_free_at.iter().filter(|&&free| free > clock).count();
-        if series.last().map(|s| (s.queue_depth, s.in_flight)) != Some((queue_depth, in_flight)) {
-            series.push(ReplaySample {
-                cycle: clock,
-                queue_depth,
-                in_flight,
-            });
-            if let Some(t) = &telemetry {
-                t.record_counter("queue_depth", clock, queue_depth as u64);
-                t.record_counter("in_flight", clock, in_flight as u64);
+                predicted.push(plan.predicted_makespan_cycles());
             }
         }
-        // Advance to the next event: the earliest of the next arrival, the
-        // next whole-gang-free instant (only meaningful with queued work
-        // and live tiles), the next due retry, and the next tile fault
-        // event (only while work remains to be affected by it).
-        let earlier = |next: Option<u64>, candidate: u64| -> Option<u64> {
-            Some(next.map_or(candidate, |n| n.min(candidate)))
-        };
-        let mut next_clock: Option<u64> = None;
-        if next_arrival < requests.len() {
-            next_clock = earlier(next_clock, requests[next_arrival].arrival_cycle);
-        }
-        if let Some(next_free) = stalled_until {
-            next_clock = earlier(next_clock, next_free);
-        }
-        if let Some(ready_cycle) = deferred.next_ready_cycle() {
-            next_clock = earlier(next_clock, ready_cycle);
-        }
-        let work_remains =
-            next_arrival < requests.len() || !ready.is_empty() || !deferred.is_empty();
-        if work_remains && next_event < fault_plan.tile_events.len() {
-            next_clock = earlier(next_clock, fault_plan.tile_events[next_event].cycle);
-        }
-        let Some(target) = next_clock else {
-            if work_remains {
-                // Permanent outage: every live tile is down with no
-                // recovery ahead, arrivals are exhausted, and no retry can
-                // ever dispatch. Shed the stranded requests
-                // deterministically — ready queue in policy order, then
-                // deferrals in (ready cycle, arrival) order.
-                let mut stranded: Vec<PredictedJob> = Vec::new();
-                while let Some(job) = ready.pop() {
-                    stranded.push(job);
-                }
-                stranded.extend(deferred.drain_all());
-                for job in stranded {
-                    let request = requests[job.index];
-                    let task = &suite[request.task_index];
-                    shed.push(ShedRecord {
-                        id: request.id,
-                        task_id: task.id,
-                        task_name: Arc::clone(&task_names[task_slot[request.task_index]]),
-                        arrival_cycle: request.arrival_cycle,
-                        shed_cycle: clock,
-                        predicted_cycles: job.predicted_cycles,
-                        attempts: attempts[job.index],
-                    });
-                    if attempts[job.index] > 0 {
-                        shed_after_retries += 1;
-                    }
-                    if let Some(t) = &telemetry {
-                        t.record_instant(
-                            "shed",
-                            task.name.clone(),
-                            options.servers as u64,
-                            clock,
-                            vec![
-                                ("id", request.id as u64),
-                                ("predicted", job.predicted_cycles),
-                            ],
-                        );
-                        t.metrics().incr("serve.shed.no_live_tiles", 1);
-                    }
-                }
-            }
+    }
+    let mut task_slot = vec![0usize; suite.len()];
+    for (slot, &task_index) in used.iter().enumerate() {
+        task_slot[task_index] = slot;
+    }
+    // The plan width is a function of the live tile count (the configured
+    // tile count at full capacity, the whole live set below the gang
+    // size), so the row table is indexed by live count; every reduced live
+    // count the timeline can reach is in `widths`, and unreachable entries
+    // are never read.
+    let width_row = |width: usize| widths.binary_search(&width).unwrap_or(0) * used.len();
+    let tables = Tables {
+        service,
+        predicted,
+        levels,
+        task_slot,
+        row_at_live: (0..=options.servers)
+            .map(|live| width_row(if live >= gang_size { tiles } else { live }))
+            .collect(),
+        task_names: used
+            .iter()
+            .map(|&i| Arc::from(suite[i].name.as_str()))
+            .collect(),
+        slow_pct_at: (0..options.servers)
+            .map(|tile| fault_plan.slow_pct(tile))
+            .collect(),
+    };
+    let telemetry = runner.telemetry().map(Arc::as_ref);
+    let mut replay = Replay::new(options, suite, &requests, &fault_plan, telemetry, tables);
+    loop {
+        replay.settle();
+        let stalled_until = replay.dispatch();
+        replay.sample();
+        if !replay.advance(stalled_until) {
             break;
-        };
-        clock = clock.max(target);
-        depth_cycle_integral += u128::from(clock - depth_last_cycle) * ready.len() as u128;
-        depth_last_cycle = clock;
-        while next_arrival < requests.len() && requests[next_arrival].arrival_cycle <= clock {
-            let request = requests[next_arrival];
-            ready.push(PredictedJob {
-                index: request.id,
-                predicted_cycles: predicted_table[full_row + task_slot[request.task_index]],
-            });
-            next_arrival += 1;
         }
     }
-
-    // Ids are unique, so this restores arrival order exactly.
-    records.sort_unstable_by_key(|r| r.id);
-    let observed_cycles = records
-        .iter()
-        .map(|r| r.finish_cycle)
-        .max()
-        .unwrap_or(0)
-        .max(clock);
-    // Settle the availability integral to the end of the observed span,
-    // applying any tile events that fire while the last requests drain.
-    live_tiles.apply_until(
-        observed_cycles,
-        &fault_plan.tile_events,
-        &mut next_event,
-        telemetry.as_deref(),
-    );
-    live_tiles.charge(observed_cycles);
-
-    if let Some(t) = &telemetry {
-        let metrics = t.metrics();
-        metrics.incr(
-            "serve.requests.offered",
-            (records.len() + shed.len()) as u64,
-        );
-        metrics.incr("serve.requests.admitted", records.len() as u64);
-        metrics.incr("serve.requests.shed", shed.len() as u64);
-        metrics.set_gauge("serve.queue.peak", ready.peak_len() as f64);
-        metrics.set_gauge("serve.queue.pushes", ready.pushes() as f64);
-        for (tile, &busy) in tile_busy_cycles.iter().enumerate() {
-            metrics.set_gauge(&format!("serve.tile{tile:02}.busy_cycles"), busy as f64);
-        }
-        for record in &records {
-            metrics.observe(
-                "serve.latency_cycles",
-                &LATENCY_HISTOGRAM_BOUNDS,
-                record.latency_cycles(),
-            );
-        }
-        // Fault-tolerance gauges only exist when the machinery ran, so
-        // fault-free metric snapshots stay byte-identical to the plain
-        // engine's.
-        if ft_active {
-            metrics.set_gauge("serve.deferred.peak", deferred.peak_len() as f64);
-            metrics.set_gauge("serve.deferred.total", deferred.deferrals() as f64);
-            metrics.set_gauge("serve.tiles.min_live", live_tiles.min_live as f64);
-        }
-    }
-
-    let fault_summary = ft_active.then(|| FaultSummary {
-        retry_max: options.retry_max,
-        backoff_base_cycles: options.backoff_base_cycles,
-        degrade: options.degrade,
-        fail_rate: fault_plan.fail_rate,
-        transient_faults,
-        retries: deferred.deferrals(),
-        slo_deferrals,
-        degraded: degraded_count,
-        shed_after_retries,
-        tile_fail_events: live_tiles.fail_events,
-        tile_recover_events: live_tiles.recover_events,
-        min_live_tiles: live_tiles.min_live,
-        live_cycle_integral: live_tiles.integral,
-    });
-
-    ServingReport {
-        policy: options.policy,
-        arrivals: options.arrivals,
-        mix_label: options.mix.label(),
-        slo_cycles: options.slo_cycles,
-        servers: options.servers,
-        threads: runner.threads(),
-        tiles,
-        placement: options.pipeline.placement,
-        frequency_mhz: options.config.frequency_mhz,
-        records,
-        shed,
-        queue_samples,
-        series,
-        tile_busy_cycles,
-        depth_cycle_integral,
-        observed_cycles,
-        wall: start.elapsed(),
-        cache: runner.cache().stats(),
-        metrics: telemetry.as_ref().map(|t| t.metrics().snapshot()),
-        fault_summary,
-    }
+    replay.strand();
+    replay.finish(runner, start)
 }
 
 #[cfg(test)]

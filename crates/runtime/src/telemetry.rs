@@ -55,6 +55,7 @@
 //! and metrics snapshots byte-identical to pre-fault runs.
 
 use crate::pool::current_worker_index;
+use crate::report::{escape_json, json_f64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -342,32 +343,6 @@ fn join_u64(values: &[u64]) -> String {
         .map(|v| v.to_string())
         .collect::<Vec<_>>()
         .join(", ")
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The telemetry layer: per-worker span buffers, a metrics registry, and

@@ -278,12 +278,9 @@ fn permanent_outage_shed_everything_still_in_flight() {
     assert_eq!(serving_requests_csv(&again), serving_requests_csv(&report));
 }
 
-#[test]
-fn a_total_permanent_outage_accounts_for_every_request_once() {
-    // Every tile fails mid-stream and none recovers. The replay sheds
-    // whatever is stranded; what it served must still come out in strictly
-    // increasing id order, and served plus shed ids must be exactly
-    // `0..n`, each once.
+/// Every tile fails mid-stream and none recovers, under SJF with
+/// transient faults, retries, SLO deferrals and degradation.
+fn total_outage_options() -> ServingOptions {
     let servers = 4;
     let plan = FaultPlan {
         seed: 7,
@@ -300,7 +297,7 @@ fn a_total_permanent_outage_accounts_for_every_request_once() {
             multiplier_pct: 180,
         }],
     };
-    let options = ServingOptions {
+    ServingOptions {
         requests: 160,
         servers,
         // Shortest-predicted-first dispatches out of arrival order, so
@@ -316,7 +313,16 @@ fn a_total_permanent_outage_accounts_for_every_request_once() {
             ..small_pipeline()
         },
         ..ServingOptions::default()
-    };
+    }
+}
+
+#[test]
+fn a_total_permanent_outage_accounts_for_every_request_once() {
+    // Every tile fails mid-stream and none recovers. The replay sheds
+    // whatever is stranded; what it served must still come out in strictly
+    // increasing id order, and served plus shed ids must be exactly
+    // `0..n`, each once.
+    let options = total_outage_options();
     let report = faulted_report(&options, 2);
     let summary = report.fault_summary.as_ref().expect("fault layer active");
     assert_eq!(summary.min_live_tiles, 0);
@@ -334,4 +340,86 @@ fn a_total_permanent_outage_accounts_for_every_request_once() {
         .collect();
     ids.sort_unstable();
     assert_eq!(ids, (0..options.requests).collect::<Vec<_>>());
+}
+
+/// The configuration of the `serve_faulted` golden fixture
+/// (`tests/golden.rs`): a transient-fault stream, a mid-run tile outage, a
+/// slow tile, retries with backoff, and SLO degradation, on 8 tasks.
+fn golden_faulted_options() -> ServingOptions {
+    ServingOptions {
+        requests: 16,
+        servers: 4,
+        slo_cycles: Some(1_200),
+        retry_max: 2,
+        backoff_base_cycles: 64,
+        degrade: true,
+        faults: Some(FaultPlan {
+            seed: 7,
+            fail_rate: 0.25,
+            tile_events: vec![
+                TileFaultEvent {
+                    cycle: 300,
+                    tile: 1,
+                    kind: TileFaultKind::Fail,
+                },
+                TileFaultEvent {
+                    cycle: 900,
+                    tile: 1,
+                    kind: TileFaultKind::Recover,
+                },
+            ],
+            slow_tiles: vec![SlowTile {
+                tile: 3,
+                multiplier_pct: 150,
+            }],
+        }),
+        pipeline: PipelineOptions {
+            max_sim_seq_len: 24,
+            ..PipelineOptions::default()
+        },
+        ..ServingOptions::default()
+    }
+}
+
+#[test]
+fn shed_and_retry_telemetry_counters_match_the_report() {
+    // Every shed is counted under exactly one `serve.shed.*` reason, every
+    // deferral under `serve.retries` and every degraded serve under
+    // `serve.degraded`, whichever path (transient fault, SLO miss or
+    // outage strand) produced it.
+    let golden_suite: Vec<TaskDescriptor> = full_suite().into_iter().take(8).collect();
+    let runs = [
+        (golden_suite, golden_faulted_options()),
+        (small_suite(), total_outage_options()),
+    ];
+    for (suite, options) in runs {
+        let runner = SuiteRunner::new(2).with_telemetry();
+        let report = run_serving(&runner, &suite, &options);
+        let summary = report.fault_summary.as_ref().expect("fault layer active");
+        let metrics = report.metrics.as_ref().expect("telemetry is on");
+        let reasons = [
+            "serve.shed.transient_fault",
+            "serve.shed.predicted_slo_miss",
+            "serve.shed.retries_exhausted",
+            "serve.shed.no_live_tiles",
+        ];
+        let mut shed_counted = 0;
+        for (name, value) in &metrics.counters {
+            if name.starts_with("serve.shed.") {
+                assert!(
+                    reasons.contains(&name.as_str()),
+                    "unknown shed reason {name}"
+                );
+                shed_counted += value;
+            }
+        }
+        assert!(!report.shed.is_empty(), "the configuration must shed");
+        assert_eq!(shed_counted, report.shed.len() as u64);
+        assert!(summary.retries > 0, "the configuration must retry");
+        assert_eq!(metrics.counter("serve.retries"), Some(summary.retries));
+        assert_eq!(
+            metrics.counter("serve.degraded").unwrap_or(0),
+            summary.degraded
+        );
+    }
 }

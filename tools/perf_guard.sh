@@ -38,9 +38,27 @@ for baseline in BENCH_qk_kernel.json BENCH_tiles.json BENCH_layer_sched.json BEN
   fi
 done
 
-# Last "speedup" value in a BENCH json (the largest design point).
+# The guarded speedup of a BENCH file, read by key: the kernel ratio, the
+# 8-tile scaling point, the LPT-vs-round-robin ratio and the goodput
+# recovery. Prints nothing when the file does not parse or lacks the key.
 speedup_of() {
-  grep -o '"speedup": *[0-9.]*' "$1" | tail -n 1 | sed 's/[^0-9.]*//g'
+  python3 -c '
+import json, sys
+path = sys.argv[1]
+with open(path) as f:
+    data = json.load(f)
+if path == "BENCH_qk_kernel.json":
+    value = data["speedup"]
+elif path == "BENCH_tiles.json":
+    value = next(p["speedup"] for p in data["scaling"] if p["tiles"] == 8)
+elif path == "BENCH_layer_sched.json":
+    value = data["lpt_vs_rr"]["speedup"]
+else:
+    value = data["goodput_recovery"]["speedup"]
+if isinstance(value, bool) or not isinstance(value, (int, float)):
+    sys.exit(1)
+print(value)
+' "$1" 2>/dev/null || true
 }
 
 base_kernel=$(speedup_of BENCH_qk_kernel.json)
@@ -48,7 +66,7 @@ base_tiles=$(speedup_of BENCH_tiles.json)
 base_layer=$(speedup_of BENCH_layer_sched.json)
 base_fault=$(speedup_of BENCH_fault_recovery.json)
 if [ -z "$base_kernel" ] || [ -z "$base_tiles" ] || [ -z "$base_layer" ] || [ -z "$base_fault" ]; then
-  echo "perf_guard: baseline file present but contains no \"speedup\" entry — corrupt baseline?" >&2
+  echo "perf_guard: baseline file present but its guarded \"speedup\" is missing or not a number — corrupt baseline?" >&2
   exit 1
 fi
 echo "committed baselines: kernel ${base_kernel}x, 8-tile makespan ${base_tiles}x, lpt-vs-rr ${base_layer}x, fault recovery ${base_fault}x"
